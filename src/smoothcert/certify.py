@@ -25,6 +25,7 @@ from .discrepancy import (
     ThreatModel,
     discrepancy_mc,
     dual_lower_bound,
+    noise_partitions,
     worst_delta,
 )
 from .errors import DomainError
@@ -372,9 +373,10 @@ def certified_radius_search(
 ) -> tuple[float, Certificate | None]:
     """Largest certified radius by bisection on r in [0, r_max].
 
-    The p0 bound is computed once (it does not depend on r) and one
-    sample batch is reused across probes: only the shift changes. Every
-    probe is a rigorous certificate at its own radius with the MC
+    The p0 bound is computed once (it does not depend on r) and the n2
+    noise rows are drawn once and reused across probes: only the shift
+    changes. The search therefore holds the n2 x d draws in memory.
+    Every probe is a rigorous certificate at its own radius with the MC
     budget split across all probes, so the reported radius (snapped
     down to ``r_step`` if given) was itself certified, not
     interpolated.
@@ -390,13 +392,15 @@ def certified_radius_search(
 
     alpha_probe = budget.alpha_mc / iterations
     dual_rng = rng.child(1)
+    draws = [list(blocks) for blocks in noise_partitions(family, n2, dual_rng, workers)]
     lo, hi = 0.0, r_max
     best: Certificate | None = None
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         threat = ThreatModel(norm=threat_norm, radius=mid)
         dual = dual_lower_bound(
-            p0_lower, family, threat, grid, n2, alpha_probe, dual_rng, workers=workers
+            p0_lower, family, threat, grid, n2, alpha_probe, dual_rng, workers=workers,
+            draws=draws,
         )
         bound = min(dual.bound, 1.0)
         if bound > 0.5:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -203,37 +204,43 @@ def _partition_counts(n: int, workers: int) -> list[int]:
     return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
-def _ratio_partitions(
-    family: SmoothingFamily,
-    delta: np.ndarray,
-    n: int,
-    rng: RandomStream,
-    workers: int,
-) -> list[np.ndarray]:
-    """Density ratios pi_delta/pi_0 at pi_0 draws, one array per worker.
+def noise_partitions(
+    family: SmoothingFamily, n: int, rng: RandomStream, workers: int = 1
+) -> list[Iterator[np.ndarray]]:
+    """pi_0 draws for the Monte Carlo stage, one block stream per worker.
 
-    Worker i consumes stream ``rng.child(i)``, so the batch is
-    reproducible for a fixed (seed, worker count) partition.
+    Worker i consumes stream ``rng.child(i)`` in ``sample_chunks``
+    blocks, so the draws are reproducible for a fixed (seed, worker
+    count) partition. The streams are lazy; materialize each one as a
+    list to map one draw to ratios at several shifts.
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    return [
+        sample_chunks(family, m, rng.child(i))
+        for i, m in enumerate(_partition_counts(n, workers))
+        if m > 0
+    ]
+
+
+def _ratio_partitions(
+    family: SmoothingFamily,
+    delta: np.ndarray,
+    draws: Iterable[Iterable[np.ndarray]],
+) -> list[np.ndarray]:
+    """Density ratios pi_delta/pi_0 at the given pi_0 draws, one array per worker."""
     parts: list[np.ndarray] = []
     with np.errstate(over="ignore", divide="ignore"):
-        for i, m in enumerate(_partition_counts(n, workers)):
-            if m == 0:
-                continue
-            chunks = [
-                np.exp(_log_ratio_batch(family, block, delta))
-                for block in sample_chunks(family, m, rng.child(i))
-            ]
+        for blocks in draws:
+            chunks = [np.exp(_log_ratio_batch(family, block, delta)) for block in blocks]
             parts.append(np.concatenate(chunks) if len(chunks) > 1 else chunks[0])
     return parts
 
 
-def _positive_part_sums(
-    parts: list[np.ndarray], lam: float, want_sq: bool = False
-) -> tuple[float, float]:
-    """Sum of (lambda - ratio)_+ over all partitions, compensated reduce.
+def _estimate_from_parts(
+    parts: list[np.ndarray], n: int, lam: float, alpha: float
+) -> DiscrepancyEstimate:
+    """Mean and standard error of (lambda - ratio)_+ over all partitions.
 
     Partial sums are taken per partition and combined with math.fsum in
     partition order, so the reduction is deterministic for a fixed
@@ -245,18 +252,10 @@ def _positive_part_sums(
         vals = np.subtract(lam, arr)
         np.maximum(vals, 0.0, out=vals)
         sums.append(float(vals.sum()))
-        if want_sq:
-            np.multiply(vals, vals, out=vals)
-            sq_sums.append(float(vals.sum()))
-    return math.fsum(sums), math.fsum(sq_sums) if want_sq else 0.0
-
-
-def _estimate_from_parts(
-    parts: list[np.ndarray], n: int, lam: float, alpha: float
-) -> DiscrepancyEstimate:
-    total, total_sq = _positive_part_sums(parts, lam, want_sq=True)
-    mean = total / n
-    var = max(0.0, total_sq / n - mean * mean)
+        np.multiply(vals, vals, out=vals)
+        sq_sums.append(float(vals.sum()))
+    mean = math.fsum(sums) / n
+    var = max(0.0, math.fsum(sq_sums) / n - mean * mean)
     return DiscrepancyEstimate(
         mean=min(mean, lam),
         epsilon=hoeffding_epsilon(n, lam, alpha),
@@ -265,6 +264,40 @@ def _estimate_from_parts(
         alpha=alpha,
         std_error=math.sqrt(var / n),
     )
+
+
+# Block length of the two-level prefix sum in ``_positive_part_sweep``.
+_SWEEP_BLOCK = 1024
+
+
+def _positive_part_sweep(parts: list[np.ndarray]) -> Callable[[float], float]:
+    """sum over all ratios of (lambda - ratio)_+, as a function of lambda.
+
+    One sort serves every lambda. With s the sorted ratios and
+    c = #{s < lambda}, the sum is c (lambda - s[c-1]) + G[c-1], where
+    G[j] = sum_{i<=j} (s[j] - s[i]) = sum_{m<=j} m (s[m] - s[m-1]).
+    Both terms are sums of nonnegative numbers, so unlike
+    lambda c - sum_{i<c} s[i] nothing cancels when the ratios below
+    lambda crowd against it. G is a two-level prefix sum (inside blocks
+    of ``_SWEEP_BLOCK``, then over the block totals), which bounds its
+    relative rounding error by about (block length + block count)
+    machine epsilons. Each lambda then costs one binary search.
+    """
+    s = np.sort(np.concatenate(parts))
+    with np.errstate(invalid="ignore"):  # inf - inf past the last finite ratio
+        terms = np.arange(s.size) * np.diff(s, prepend=s[0])
+        prefix = np.pad(terms, (0, -s.size % _SWEEP_BLOCK)).reshape(-1, _SWEEP_BLOCK)
+        np.cumsum(prefix, axis=1, out=prefix)
+        prefix[1:] += np.cumsum(prefix[:-1, -1])[:, None]
+    prefix = prefix.ravel()
+
+    def positive_part_sum(lam: float) -> float:
+        c = int(np.searchsorted(s, lam, side="left"))
+        if c == 0:
+            return 0.0
+        return float(c * (lam - s[c - 1]) + prefix[c - 1])
+
+    return positive_part_sum
 
 
 def discrepancy_mc(
@@ -292,7 +325,7 @@ def discrepancy_mc(
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (family.dim,):
         raise DomainError(f"delta must have length {family.dim}, got shape {delta.shape}")
-    parts = _ratio_partitions(family, delta, n, rng, workers)
+    parts = _ratio_partitions(family, delta, noise_partitions(family, n, rng, workers))
     return _estimate_from_parts(parts, n, lam, alpha)
 
 
@@ -386,8 +419,17 @@ def _default_extent(family: SmoothingFamily) -> float:
 
 
 def _quadrature_polar_2d(
-    family: SmoothingFamily, delta: np.ndarray, lam: float, grid: QuadratureGrid
-) -> float:
+    family: SmoothingFamily,
+    deltas: Sequence[np.ndarray],
+    lams: Sequence[float],
+    grid: QuadratureGrid,
+) -> np.ndarray:
+    """D at every (shift, lambda) pair on one polar grid.
+
+    Returns values[i, j] for deltas[i] and lams[j]. The base kernel is
+    computed once and each shifted kernel once per shift, and every
+    pair goes through the same arithmetic as a table of one.
+    """
     radius = grid.extent if grid.extent is not None else _default_extent(family)
     # Quadratically graded radial mesh r = R u^2: the Jacobian turns the
     # r^(1-k) origin singularity of the area integrand into the smooth
@@ -399,15 +441,20 @@ def _quadrature_polar_2d(
     z1 = np.outer(r, np.cos(theta))
     z2 = np.outer(r, np.sin(theta))
     pts = np.stack([z1, z2], axis=-1).reshape(-1, 2)
+    weight = np.repeat(r_weight, grid.n_angular)
     with np.errstate(over="ignore", divide="ignore"):
         base = np.exp(_log_kernel_batch(family, pts))
-        shifted = np.exp(_log_kernel_batch(family, pts - delta))
-        pos = lam * base - shifted
-    np.maximum(pos, 0.0, out=pos)
-    weight = np.repeat(r_weight, grid.n_angular)
-    numer = float((pos * weight).sum())
     denom = float((base * weight).sum())
-    return numer / denom
+    values = np.empty((len(deltas), len(lams)))
+    for i, delta in enumerate(deltas):
+        with np.errstate(over="ignore", divide="ignore"):
+            shifted = np.exp(_log_kernel_batch(family, pts - delta))
+        for j, lam in enumerate(lams):
+            with np.errstate(over="ignore", divide="ignore"):
+                pos = lam * base - shifted
+            np.maximum(pos, 0.0, out=pos)
+            values[i, j] = float((pos * weight).sum()) / denom
+    return values
 
 
 def _quadrature_cartesian(
@@ -454,12 +501,7 @@ def discrepancy_quadrature(
     into an integrable r^(1-k) factor; elsewhere a Cartesian midpoint
     rule is used (cell centers never hit the origin exactly).
     """
-    if family.dim > 3:
-        raise UnsupportedError(f"quadrature oracle supports d <= 3, got d={family.dim}")
-    if family.has_power_term and family.k >= family.dim:
-        raise DomainError(f"radial grid requires k < d, got k={family.k} at d={family.dim}")
-    if not lam >= 0.0:
-        raise DomainError(f"lambda must be >= 0, got {lam}")
+    _check_quadrature_args(family, lam)
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (family.dim,):
         raise DomainError(f"delta must have length {family.dim}, got shape {delta.shape}")
@@ -468,8 +510,17 @@ def discrepancy_quadrature(
     if lam == 0.0:
         return 0.0
     if family.dim == 2:
-        return _quadrature_polar_2d(family, delta, lam, grid)
+        return float(_quadrature_polar_2d(family, [delta], [lam], grid)[0, 0])
     return _quadrature_cartesian(family, delta, lam, grid)
+
+
+def _check_quadrature_args(family: SmoothingFamily, lam: float) -> None:
+    if family.dim > 3:
+        raise UnsupportedError(f"quadrature oracle supports d <= 3, got d={family.dim}")
+    if family.has_power_term and family.k >= family.dim:
+        raise DomainError(f"radial grid requires k < d, got k={family.k} at d={family.dim}")
+    if not lam >= 0.0:
+        raise DomainError(f"lambda must be >= 0, got {lam}")
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +540,7 @@ def dual_lower_bound(
     rng: RandomStream,
     workers: int = 1,
     refine_steps: int = 0,
+    draws: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> DualBoundResult:
     """Maximize lambda * p0 - (D_hat(lambda) + epsilon) over the grid.
 
@@ -499,9 +551,18 @@ def dual_lower_bound(
     value with probability >= 1 - alpha_mc (conditional on p0_lower
     being valid). Ties resolve to the smallest lambda.
 
+    Cost: n draws and ratios, one sort of the ratios, then O(log n)
+    per lambda (see ``_positive_part_sweep``).
+
     ``refine_steps`` adds golden-section probes around the grid argmax
     (the dual objective is concave in lambda); the probes are charged
     against the same union budget, so rigor is unaffected.
+
+    ``draws`` replaces the draw from ``rng``: the blocks of
+    ``noise_partitions(family, n, rng, workers)`` with each stream
+    materialized as a list, so that several calls (the probes of a
+    radius search) share one batch and see the ratios a fresh draw
+    from that stream would give.
     """
     if not 0.0 < p0_lower <= 1.0:
         raise DomainError(f"p0_lower must be in (0, 1], got {p0_lower}")
@@ -510,12 +571,18 @@ def dual_lower_bound(
     if not 0.0 < alpha_mc < 1.0:
         raise DomainError(f"alpha_mc must be in (0, 1), got {alpha_mc}")
     wd = worst_delta(threat, family)
-    parts = _ratio_partitions(family, wd.vector, n, rng, workers)
+    if draws is None:
+        parts = _ratio_partitions(family, wd.vector, noise_partitions(family, n, rng, workers))
+    else:
+        parts = _ratio_partitions(family, wd.vector, draws)
+    rows = sum(p.size for p in parts)
+    if rows != n:
+        raise DomainError(f"draws hold {rows} rows, expected n={n}")
+    positive_part_sum = _positive_part_sweep(parts)
     alpha_each = alpha_mc / (grid.count + refine_steps)
 
     def evaluate(lam: float) -> TracePoint:
-        total, _ = _positive_part_sums(parts, lam)
-        d_mean = min(total / n, lam)
+        d_mean = min(positive_part_sum(lam) / n, lam)
         eps = hoeffding_epsilon(n, lam, alpha_each)
         return TracePoint(lam=lam, d_mean=d_mean, epsilon=eps, bound=lam * p0_lower - (d_mean + eps))
 

@@ -22,6 +22,8 @@ from .discrepancy import (
     LambdaGrid,
     QuadratureGrid,
     ThreatModel,
+    _check_quadrature_args,
+    _quadrature_polar_2d,
     discrepancy_gaussian_closed_form,
     discrepancy_mc,
     discrepancy_quadrature,
@@ -497,7 +499,8 @@ def worst_delta_grid_check(
     """Verify by quadrature that D is maximized at the theorem's shift.
 
     Evaluates the d = 2 quadrature oracle over a grid of shifts
-    covering the threat set and asserts, per lambda, that the maximum
+    covering the threat set (one kernel evaluation per shift, shared by
+    every lambda) and asserts, per lambda, that the maximum
     is attained at delta* within the stated tolerance. Also reports the
     strict-interior maximum and, for rotationally symmetric cases, the
     spread across boundary directions.
@@ -511,10 +514,15 @@ def worst_delta_grid_check(
     else:
         probe_grid = interior_grid
     deltas, on_boundary = _delta_grid(threat, boundary_points, probe_grid)
-    checks: list[WorstDeltaCheck] = []
     for lam in lambdas:
-        star_value = discrepancy_quadrature(family, star, lam, quad_grid)
-        values = [discrepancy_quadrature(family, dv, lam, quad_grid) for dv in deltas]
+        _check_quadrature_args(family, lam)
+    table = _quadrature_polar_2d(
+        family, [star, *deltas], lambdas, quad_grid if quad_grid is not None else QuadratureGrid()
+    )
+    checks: list[WorstDeltaCheck] = []
+    for j, lam in enumerate(lambdas):
+        star_value = float(table[0, j])
+        values = [float(v) for v in table[1:, j]]
         best = int(np.argmax(values))
         interior = [v for v, b in zip(values, on_boundary) if not b]
         spread = max(

@@ -64,12 +64,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {num:2d} {name}: {verdict}{suffix}")
 
 
-def grid_loss(grid: LambdaGrid, p0: float, closed_d) -> float:
-    best = max(float(l) * p0 - closed_d(float(l)) for l in grid.values())
-    exact_candidates = [float(l) * p0 - closed_d(float(l)) for l in grid.values()]
-    return max(exact_candidates) * 0.0 + best * 0.0 + _continuous_max_gap(grid, p0, closed_d)
-
-
 def _continuous_max_gap(grid: LambdaGrid, p0: float, closed_d) -> float:
     # discretization loss: continuous optimum minus best grid value
     lams = np.geomspace(grid.start, grid.end, 20_001)

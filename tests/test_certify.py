@@ -22,6 +22,7 @@ from smoothcert import (
     cohen_bound,
     cohen_radius,
     discrepancy_gaussian_closed_form,
+    dual_lower_bound,
     gaussian_bilateral_radius,
     std_normal_quantile,
     teng_bound,
@@ -312,6 +313,46 @@ class TestRadiusSearch:
         # at n2 = 5e4 the MC-certified radius trails the closed form by
         # a few tenths; frozen seed gives 2.146 vs analytic 2.702
         assert radius >= 1.9
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_draws_noise_once(self, monkeypatch, workers):
+        from smoothcert import discrepancy
+
+        drawn: list[int] = []
+        real = discrepancy.sample_chunks
+
+        def counting(family, n, rng):
+            for block in real(family, n, rng):
+                drawn.append(block.shape[0])
+                yield block
+
+        monkeypatch.setattr(discrepancy, "sample_chunks", counting)
+        fam = SmoothingFamily.l2_power_tail(6, 2.0, 1.0)
+        grid, n2, budget, rng = LambdaGrid(), 20_000, ConfidenceBudget.split(0.002), RandomStream(13)
+        radius, cert = certified_radius_search(
+            Constant(1), np.zeros(6), fam, "l2", r_max=4.0, grid=grid, n1=2000, n2=n2,
+            budget=budget, rng=rng, workers=workers,
+        )
+        assert sum(drawn) == n2
+        assert cert is not None
+
+        # reference: the same bisection with a fresh draw from the same stream per probe
+        lo, hi, best = 0.0, 4.0, None
+        for _ in range(12):
+            mid = 0.5 * (lo + hi)
+            dual = dual_lower_bound(
+                cert.p0_lower, fam, ThreatModel("l2", mid), grid, n2, budget.alpha_mc / 12,
+                rng.child(1), workers=workers,
+            )
+            if min(dual.bound, 1.0) > 0.5:
+                lo, best = mid, dual
+            else:
+                hi = mid
+        assert sum(drawn) == 13 * n2
+        assert radius == lo
+        assert cert.bound == min(best.bound, 1.0)
+        assert cert.lambda_star == best.lambda_star
+        assert cert.dual.trace == best.trace
 
     def test_snaps_to_grid(self):
         fam = SmoothingFamily.gaussian(3, 1.0)

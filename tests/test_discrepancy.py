@@ -317,6 +317,85 @@ class TestDualLowerBound:
             dual_lower_bound(1.5, fam, ThreatModel("l2", 0.1), LambdaGrid(), 100, 1e-3, RandomStream(14))
 
 
+def _direct_d_mean(ratios: np.ndarray, lam: float) -> float:
+    # the per-lambda definition, summed with math.fsum
+    return min(math.fsum(np.maximum(lam - ratios, 0.0)) / ratios.size, lam)
+
+
+def _drawn_ratios(fam, threat, n, rng, workers):
+    from smoothcert.discrepancy import _ratio_partitions, noise_partitions
+
+    delta = worst_delta(threat, fam).vector
+    return np.concatenate(_ratio_partitions(fam, delta, noise_partitions(fam, n, rng, workers)))
+
+
+class TestSortedSweep:
+    def test_every_trace_point_matches_direct_sums(self):
+        fam = SmoothingFamily.l2_power_tail(8, 2.0, 1.0)
+        threat = ThreatModel("l2", 0.4)
+        res = dual_lower_bound(
+            0.9, fam, threat, LambdaGrid(), 30_000, 1e-3, RandomStream(40),
+            workers=2, refine_steps=8,
+        )
+        ratios = _drawn_ratios(fam, threat, 30_000, RandomStream(40), 2)
+        assert len(res.trace) == 200 + 8
+        for pt in res.trace:
+            direct = _direct_d_mean(ratios, pt.lam)
+            assert abs(pt.d_mean - direct) <= 1e-12 * direct
+
+    def test_lambda_equal_to_a_ratio(self):
+        # a ratio equal to lambda contributes 0; at the smallest ratio D_hat is exactly 0
+        fam = SmoothingFamily.gaussian(4, 1.0)
+        threat = ThreatModel("l2", 0.5)
+        ratios = np.sort(_drawn_ratios(fam, threat, 5_000, RandomStream(41), 1))
+        for lam in (float(ratios[0]), float(ratios[2_500])):
+            res = dual_lower_bound(
+                0.9, fam, threat, LambdaGrid(lam, lam, 1), 5_000, 1e-3, RandomStream(41)
+            )
+            assert res.trace[0].lam == lam
+            direct = _direct_d_mean(ratios, lam)
+            assert abs(res.trace[0].d_mean - direct) <= 1e-12 * direct
+
+    def test_zero_radius(self):
+        # every ratio is exactly 1, so D_hat(lambda) = (lambda - 1)_+
+        fam = SmoothingFamily.l2_power_tail(5, 1.0, 1.0)
+        res = dual_lower_bound(
+            0.8, fam, ThreatModel("l2", 0.0), LambdaGrid(), 10_000, 1e-3, RandomStream(42),
+            refine_steps=4,
+        )
+        for pt in res.trace:
+            expected = max(pt.lam - 1.0, 0.0)
+            assert abs(pt.d_mean - expected) <= 1e-12 * expected
+        at_one = dual_lower_bound(
+            0.8, fam, ThreatModel("l2", 0.0), LambdaGrid(1.0, 1.0, 1), 10_000, 1e-3,
+            RandomStream(42),
+        )
+        assert at_one.trace[0].d_mean == 0.0
+
+    def test_repeatable(self):
+        fam = SmoothingFamily.laplacian(3, 1.0)
+        a, b = (
+            dual_lower_bound(
+                0.9, fam, ThreatModel("l1", 0.5), LambdaGrid(), 20_000, 1e-3, RandomStream(43),
+                workers=2, refine_steps=6,
+            )
+            for _ in range(2)
+        )
+        assert a.trace == b.trace
+        assert (a.bound, a.lambda_star, a.std_error) == (b.bound, b.lambda_star, b.std_error)
+
+    def test_draws_must_match_n(self):
+        from smoothcert.discrepancy import noise_partitions
+
+        fam = SmoothingFamily.gaussian(3, 1.0)
+        draws = [list(p) for p in noise_partitions(fam, 1_000, RandomStream(44), 2)]
+        with pytest.raises(DomainError):
+            dual_lower_bound(
+                0.9, fam, ThreatModel("l2", 0.1), LambdaGrid(), 2_000, 1e-3, RandomStream(44),
+                draws=draws,
+            )
+
+
 class TestLambdaGrid:
     def test_values(self):
         grid = LambdaGrid(0.01, 100.0, 5)

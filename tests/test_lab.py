@@ -124,6 +124,34 @@ class TestWorstDeltaGridCheck:
             # argmax is an axis point (one coordinate ~0)
             assert min(abs(ch.argmax[0]), abs(ch.argmax[1])) <= 1e-12
 
+    def test_table_matches_per_pair_quadrature(self):
+        # the shared-kernel table must reproduce the per-pair oracle bit for bit
+        from smoothcert.discrepancy import _quadrature_polar_2d, discrepancy_quadrature, worst_delta
+        from smoothcert.lab import _delta_grid
+
+        fam, threat = SmoothingFamily.l1_power_tail(2, 0.5, 1.0), ThreatModel("l1", 0.8)
+        grid = QuadratureGrid(n_radial=64, n_angular=96)
+        lams = (0.0, 0.5, 2.0)
+        shifts = [worst_delta(threat, fam).vector, *_delta_grid(threat, 16, 3)[0]]
+        table = _quadrature_polar_2d(fam, shifts, lams, grid)
+        per_pair = [[discrepancy_quadrature(fam, dv, lam, grid) for lam in lams] for dv in shifts]
+        assert table.tolist() == per_pair
+        for j, ch in enumerate(worst_delta_grid_check(fam, threat, lams, quad_grid=grid)):
+            assert ch.star_value == per_pair[0][j]
+            assert ch.max_value == max(row[j] for row in per_pair[1:])
+
+    def test_rejects_what_the_oracle_rejects(self):
+        from smoothcert.errors import DomainError
+
+        with pytest.raises(DomainError):
+            worst_delta_grid_check(
+                SmoothingFamily.l2_power_tail(2, 2.0, 1.0), ThreatModel("l2", 0.5), (1.0,)
+            )
+        with pytest.raises(DomainError):
+            worst_delta_grid_check(
+                SmoothingFamily.gaussian(2, 1.0), ThreatModel("l2", 0.5), (-1.0,)
+            )
+
     def test_requires_d2(self):
         from smoothcert.errors import DomainError
 
