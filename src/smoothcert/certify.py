@@ -25,7 +25,7 @@ from .discrepancy import (
     ThreatModel,
     discrepancy_mc,
     dual_lower_bound,
-    noise_partitions,
+    noise_statistics,
     worst_delta,
 )
 from .errors import DomainError
@@ -374,12 +374,13 @@ def certified_radius_search(
     """Largest certified radius by bisection on r in [0, r_max].
 
     The p0 bound is computed once (it does not depend on r) and the n2
-    noise rows are drawn once and reused across probes: only the shift
-    changes. The search therefore holds the n2 x d draws in memory.
-    Every probe is a rigorous certificate at its own radius with the MC
-    budget split across all probes, so the reported radius (snapped
-    down to ``r_step`` if given) was itself certified, not
-    interpolated.
+    noise rows are drawn once and reduced to their worst-shift
+    statistics (2 or 3 floats per row, see ``ShiftStatistics``), which
+    every probe reuses: only the radius along the ray changes, and a
+    probe costs O(n2) plus the sort of its ratios. Every probe is a
+    rigorous certificate at its own radius with the MC budget split
+    across all probes, so the reported radius (snapped down to
+    ``r_step`` if given) was itself certified, not interpolated.
     """
     if not r_max > 0.0:
         raise DomainError(f"r_max must be > 0, got {r_max}")
@@ -392,7 +393,8 @@ def certified_radius_search(
 
     alpha_probe = budget.alpha_mc / iterations
     dual_rng = rng.child(1)
-    draws = [list(blocks) for blocks in noise_partitions(family, n2, dual_rng, workers)]
+    rationale = worst_delta(ThreatModel(norm=threat_norm, radius=r_max), family).rationale
+    stats = noise_statistics(family, rationale, n2, dual_rng, workers)
     lo, hi = 0.0, r_max
     best: Certificate | None = None
     for _ in range(iterations):
@@ -400,7 +402,7 @@ def certified_radius_search(
         threat = ThreatModel(norm=threat_norm, radius=mid)
         dual = dual_lower_bound(
             p0_lower, family, threat, grid, n2, alpha_probe, dual_rng, workers=workers,
-            draws=draws,
+            stats=stats,
         )
         bound = min(dual.bound, 1.0)
         if bound > 0.5:

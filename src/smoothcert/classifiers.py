@@ -14,9 +14,12 @@ the protocol ships as ``python -m smoothcert.eval_worker``.
 
 from __future__ import annotations
 
+import fcntl
 import math
+import os
+import selectors
 import subprocess
-import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +114,21 @@ class Halfspace:
         return (points @ self.w >= self.c).astype(np.int8)
 
 
+# Where the OS allows it (Linux), the request pipe holds about three
+# default batches at d = 16, so the worker parses one batch while the
+# next is formatted instead of waking the adapter every few kilobytes.
+_PIPE_BYTES = 1 << 20
+
+
+def _widen_pipe(fd: int) -> None:
+    setsize = getattr(fcntl, "F_SETPIPE_SZ", None)
+    if setsize is not None:
+        try:
+            fcntl.fcntl(fd, setsize, _PIPE_BYTES)
+        except OSError:  # above the system's limit: keep the default size
+            pass
+
+
 class ExternalClassifier:
     """Adapter speaking the EVAL protocol to a child process.
 
@@ -118,7 +136,12 @@ class ExternalClassifier:
     batches; one adapter drives one subprocess. Timeouts, malformed
     response lines, and child death all raise
     :class:`~smoothcert.errors.TransportError` so certification aborts
-    loudly instead of silently under-counting.
+    loudly instead of silently under-counting; the child is killed
+    first, and the next call starts a new one.
+
+    The batches of one call are exchanged on the calling thread by
+    polling both pipes (``selectors``), so the adapter needs a POSIX
+    platform.
     """
 
     def __init__(
@@ -144,16 +167,16 @@ class ExternalClassifier:
 
     def _ensure_started(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
+            self.close()
             try:
                 self._proc = subprocess.Popen(
-                    self.command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    text=True,
-                    bufsize=1,
+                    self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
                 )
             except OSError as exc:
                 raise TransportError(f"failed to spawn classifier worker: {exc}") from exc
+            assert self._proc.stdin is not None
+            os.set_blocking(self._proc.stdin.fileno(), False)
+            _widen_pipe(self._proc.stdin.fileno())
         return self._proc
 
     def close(self) -> None:
@@ -168,6 +191,9 @@ class ExternalClassifier:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
+            if self._proc.stdout:
+                self._proc.stdout.close()
             self._proc = None
 
     def __enter__(self) -> "ExternalClassifier":
@@ -176,44 +202,93 @@ class ExternalClassifier:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _exchange(self, block: np.ndarray) -> np.ndarray:
-        proc = self._ensure_started()
+    @staticmethod
+    def _request(block: np.ndarray) -> bytes:
         n, d = block.shape
-        request = [f"EVAL {n} {d}\n"]
-        request.extend(" ".join(repr(float(v)) for v in row) + "\n" for row in block)
-        timer = threading.Timer(self.timeout_ms / 1000.0, proc.kill)
-        timer.start()
-        try:
-            assert proc.stdin is not None and proc.stdout is not None
-            try:
-                proc.stdin.write("".join(request))
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise TransportError(f"classifier worker closed its input: {exc}") from exc
-            out = np.empty(n, dtype=np.int8)
-            for i in range(n):
-                line = proc.stdout.readline()
-                if line == "":
+        row = " ".join(["%r"] * d) + "\n"
+        return (f"EVAL {n} {d}\n" + (row * n) % tuple(block.ravel().tolist())).encode()
+
+    def _transfer(self, proc: subprocess.Popen, points: np.ndarray) -> list[bytes]:
+        """Send ``points`` in batches and read one reply line per row.
+
+        Requests are formatted and written only as fast as the pipe
+        takes them, and replies are read in between, all on this thread:
+        the worker can parse one batch while the next is formatted, and
+        a worker that answers each row as it reads it never blocks on a
+        full reply pipe. Each batch must be answered within
+        ``timeout_ms`` of the previous batch's answer.
+        """
+        assert proc.stdin is not None and proc.stdout is not None
+        stdin, stdout = proc.stdin.fileno(), proc.stdout.fileno()
+        n, size = points.shape[0], self.batch_size
+        requests = (self._request(points[i : i + size]) for i in range(0, n, size))
+        pending = memoryview(b"")
+        received: list[bytes] = []
+        count = answered = 0
+        deadline = time.monotonic() + self.timeout_ms / 1000.0
+        with selectors.DefaultSelector() as sel:
+            sel.register(stdin, selectors.EVENT_WRITE)
+            sel.register(stdout, selectors.EVENT_READ)
+            writing = True
+            while writing or count < n:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0.0:
                     raise TransportError(
-                        "classifier worker closed its output mid-batch "
-                        f"(got {i}/{n} labels; timeout {self.timeout_ms} ms)"
+                        f"classifier worker timed out after {self.timeout_ms} ms "
+                        f"(got {min(count, n)}/{n} labels)"
                     )
-                token = line.strip()
-                if token == "0":
-                    out[i] = 0
-                elif token == "1":
-                    out[i] = 1
-                else:
-                    raise TransportError(f"malformed response line {i}: {line!r}")
-            return out
-        finally:
-            timer.cancel()
+                for key, _ in sel.select(remaining):
+                    if key.fd == stdin:
+                        if not pending:
+                            pending = memoryview(next(requests, b""))
+                            if not pending:
+                                sel.unregister(stdin)
+                                writing = False
+                                continue
+                        try:
+                            pending = pending[os.write(stdin, pending) :]
+                        except BlockingIOError:
+                            pass
+                        except OSError as exc:
+                            raise TransportError(f"classifier worker closed its input: {exc}") from exc
+                    else:
+                        chunk = os.read(stdout, 1 << 16)
+                        if not chunk:
+                            raise TransportError(
+                                "classifier worker closed its output mid-batch "
+                                f"(got {min(count, n)}/{n} labels)"
+                            )
+                        received.append(chunk)
+                        count += chunk.count(b"\n")
+                        if min(count, n) // size > answered:
+                            answered = min(count, n) // size
+                            deadline = time.monotonic() + self.timeout_ms / 1000.0
+        lines = b"".join(received).split(b"\n", n)
+        if lines.pop():
+            raise TransportError(f"classifier worker sent more than {n} response lines")
+        return lines
+
+    @staticmethod
+    def _parse_labels(lines: list[bytes]) -> np.ndarray:
+        out = np.empty(len(lines), dtype=np.int8)
+        for i, line in enumerate(lines):
+            token = line.strip()
+            if token == b"0":
+                out[i] = 0
+            elif token == b"1":
+                out[i] = 1
+            else:
+                raise TransportError(f"malformed response line {i}: {line!r}")
+        return out
 
     def labels(self, points: np.ndarray) -> np.ndarray:
-        chunks = []
-        for start in range(0, points.shape[0], self.batch_size):
-            chunks.append(self._exchange(points[start : start + self.batch_size]))
-        return np.concatenate(chunks) if len(chunks) > 1 else chunks[0]
+        proc = self._ensure_started()
+        try:
+            return self._parse_labels(self._transfer(proc, points))
+        except BaseException:
+            proc.kill()
+            self.close()
+            raise
 
 
 Classifier = Constant | BallIndicator | Halfspace | ExternalClassifier

@@ -60,6 +60,36 @@ class WorstDelta:
     vector: np.ndarray
     rationale: str  # L1Boundary | L2Boundary | LinfVertex | LinfViaL2Equivalence
 
+    @property
+    def step(self) -> float:
+        """r such that the shift is r times its ray's direction.
+
+        The direction is e1 for the axis rationales and the all-ones
+        vector for ``LinfVertex``, so r is the first coordinate.
+        """
+        return float(self.vector[0])
+
+
+@dataclass(frozen=True)
+class ShiftStatistics:
+    """Draws reduced to the scalars that fix their ratio on a worst-shift ray.
+
+    Along the ray delta = r * direction, log pi_delta / pi_0 depends on
+    a row z only through ``columns``, one entry per row:
+
+    * ``L2Boundary``, ``LinfViaL2Equivalence``: (z1, ||z_{2:}||_2^2);
+    * ``L1Boundary``: (z1, ||z_{2:}||_1);
+    * ``LinfVertex``: (sum z, max z, min z).
+    """
+
+    family: SmoothingFamily
+    rationale: str
+    columns: tuple[np.ndarray, ...]
+
+    @property
+    def n(self) -> int:
+        return self.columns[0].size
+
 
 @dataclass(frozen=True)
 class DiscrepancyEstimate:
@@ -177,6 +207,92 @@ def worst_delta(threat: ThreatModel, family: SmoothingFamily) -> WorstDelta:
 
 
 # ---------------------------------------------------------------------------
+# worst-shift statistics
+
+_RAY_VARIANTS = {
+    "L1Boundary": ("laplacian", "l1_power_tail"),
+    "L2Boundary": ("gaussian", "l2_power_tail"),
+    "LinfViaL2Equivalence": ("gaussian", "l2_power_tail"),
+    "LinfVertex": ("mixed_norm", "linf_pure"),
+}
+
+
+def shift_statistics(
+    family: SmoothingFamily, rationale: str, block: np.ndarray
+) -> ShiftStatistics:
+    """Reduce an n x d block of draws to its ``ShiftStatistics`` on one ray.
+
+    One O(n d) pass; afterwards ``log_ratio`` costs O(n) at any radius.
+    The columns are copies, so the block can be freed.
+    """
+    if family.variant not in _RAY_VARIANTS.get(rationale, ()):
+        raise DomainError(f"no worst-shift ray {rationale!r} for family {family.variant!r}")
+    if rationale == "LinfVertex":
+        columns = (block.sum(axis=1), block.max(axis=1), block.min(axis=1))
+    else:
+        rest = block[:, 1:]
+        if rationale == "L1Boundary":
+            tail = np.abs(rest).sum(axis=1)
+        else:
+            tail = np.einsum("ij,ij->i", rest, rest)
+        columns = (block[:, 0].copy(), tail)
+    return ShiftStatistics(family=family, rationale=rationale, columns=columns)
+
+
+def _ray_norm(stats: ShiftStatistics, r: float) -> np.ndarray:
+    """The power-term norm of z - r * direction (squared on the l2 rays).
+
+    Each is a sum or a maximum of nonnegative terms, so nothing cancels
+    near the shift point.
+    """
+    if stats.rationale == "LinfVertex":
+        _, hi, lo = stats.columns
+        return np.maximum(hi - r, r - lo)
+    t, tail = stats.columns
+    if stats.rationale == "L1Boundary":
+        return np.abs(t - r) + tail
+    return (t - r) ** 2 + tail
+
+
+def log_ratio(stats: ShiftStatistics, r: float) -> np.ndarray:
+    """log pi_delta / pi_0 per row at delta = r * direction, in O(1) per row.
+
+    The shift-free terms go through the same expressions at r = 0, so
+    r = 0 gives exactly 0. Exponents:
+
+    * l2 axis: (2 r z1 - r^2) / (2 sigma^2), the dot-product form;
+    * l1 axis: (|z1| - |z1 - r|) / b;
+    * vertex, mixed_norm: (2 r sum z - d r^2) / (2 sigma^2);
+    * vertex, linf_pure: (m0 - mr)(m0 + mr) / (2 sigma^2), with
+      mr = ||z - r 1||_inf.
+
+    A power term adds -k (log ||z - delta|| - log ||z||) in the
+    family's power norm.
+    """
+    family = stats.family
+    if stats.rationale == "LinfVertex":
+        if family.variant == "mixed_norm":
+            s = stats.columns[0]
+            out = (2.0 * (s * r) - family.dim * (r * r)) / (2.0 * family.sigma**2)
+        else:
+            shifted, base = _ray_norm(stats, r), _ray_norm(stats, 0.0)
+            out = (base - shifted) * (base + shifted) / (2.0 * family.sigma**2)
+        power = family.k
+    elif stats.rationale == "L1Boundary":
+        t = stats.columns[0]
+        out = (np.abs(t - 0.0) - np.abs(t - r)) / family.b
+        power = family.k
+    else:
+        t = stats.columns[0]
+        out = (2.0 * (t * r) - r * r) / (2.0 * family.sigma**2)
+        power = 0.5 * family.k  # the l2 ray norm is squared
+    if family.has_power_term:
+        with np.errstate(divide="ignore"):
+            out = out - power * (np.log(_ray_norm(stats, r)) - np.log(_ray_norm(stats, 0.0)))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Hoeffding interval
 
 
@@ -211,8 +327,8 @@ def noise_partitions(
 
     Worker i consumes stream ``rng.child(i)`` in ``sample_chunks``
     blocks, so the draws are reproducible for a fixed (seed, worker
-    count) partition. The streams are lazy; materialize each one as a
-    list to map one draw to ratios at several shifts.
+    count) partition. The streams are lazy, so each block can be
+    reduced and freed as it is drawn (see ``noise_statistics``).
     """
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
@@ -221,6 +337,22 @@ def noise_partitions(
         for i, m in enumerate(_partition_counts(n, workers))
         if m > 0
     ]
+
+
+def noise_statistics(
+    family: SmoothingFamily, rationale: str, n: int, rng: RandomStream, workers: int = 1
+) -> list[ShiftStatistics]:
+    """The draws of ``noise_partitions`` reduced to ``ShiftStatistics``.
+
+    Each block is reduced as it is drawn, so no n x d array outlives
+    its block; the result holds one ``ShiftStatistics`` per worker.
+    """
+    out: list[ShiftStatistics] = []
+    for blocks in noise_partitions(family, n, rng, workers):
+        reduced = [shift_statistics(family, rationale, block) for block in blocks]
+        columns = tuple(np.concatenate(c) for c in zip(*(s.columns for s in reduced)))
+        out.append(ShiftStatistics(family=family, rationale=rationale, columns=columns))
+    return out
 
 
 def _ratio_partitions(
@@ -540,7 +672,7 @@ def dual_lower_bound(
     rng: RandomStream,
     workers: int = 1,
     refine_steps: int = 0,
-    draws: Sequence[Sequence[np.ndarray]] | None = None,
+    stats: Sequence[ShiftStatistics] | None = None,
 ) -> DualBoundResult:
     """Maximize lambda * p0 - (D_hat(lambda) + epsilon) over the grid.
 
@@ -551,18 +683,19 @@ def dual_lower_bound(
     value with probability >= 1 - alpha_mc (conditional on p0_lower
     being valid). Ties resolve to the smallest lambda.
 
-    Cost: n draws and ratios, one sort of the ratios, then O(log n)
-    per lambda (see ``_positive_part_sweep``).
+    Cost: n draws reduced to worst-shift statistics, O(n) ratios, one
+    sort of the ratios, then O(log n) per lambda (see
+    ``_positive_part_sweep``).
 
     ``refine_steps`` adds golden-section probes around the grid argmax
     (the dual objective is concave in lambda); the probes are charged
     against the same union budget, so rigor is unaffected.
 
-    ``draws`` replaces the draw from ``rng``: the blocks of
-    ``noise_partitions(family, n, rng, workers)`` with each stream
-    materialized as a list, so that several calls (the probes of a
-    radius search) share one batch and see the ratios a fresh draw
-    from that stream would give.
+    ``stats`` replaces the draw from ``rng``: the
+    ``noise_statistics(family, rationale, n, rng, workers)`` of this
+    threat's worst-shift rationale, so that several calls (the probes
+    of a radius search) share one batch and see the ratios a fresh
+    draw from that stream would give.
     """
     if not 0.0 < p0_lower <= 1.0:
         raise DomainError(f"p0_lower must be in (0, 1], got {p0_lower}")
@@ -571,13 +704,15 @@ def dual_lower_bound(
     if not 0.0 < alpha_mc < 1.0:
         raise DomainError(f"alpha_mc must be in (0, 1), got {alpha_mc}")
     wd = worst_delta(threat, family)
-    if draws is None:
-        parts = _ratio_partitions(family, wd.vector, noise_partitions(family, n, rng, workers))
-    else:
-        parts = _ratio_partitions(family, wd.vector, draws)
-    rows = sum(p.size for p in parts)
+    if stats is None:
+        stats = noise_statistics(family, wd.rationale, n, rng, workers)
+    elif any(s.family != family or s.rationale != wd.rationale for s in stats):
+        raise DomainError(f"stats must be taken for {family.variant} on the {wd.rationale} ray")
+    rows = sum(s.n for s in stats)
     if rows != n:
-        raise DomainError(f"draws hold {rows} rows, expected n={n}")
+        raise DomainError(f"stats hold {rows} rows, expected n={n}")
+    with np.errstate(over="ignore"):
+        parts = [np.exp(log_ratio(s, wd.step)) for s in stats]
     positive_part_sum = _positive_part_sweep(parts)
     alpha_each = alpha_mc / (grid.count + refine_steps)
 

@@ -28,15 +28,12 @@ from .discrepancy import (
     discrepancy_mc,
     discrepancy_quadrature,
     dual_lower_bound,
+    log_ratio,
+    shift_statistics,
     worst_delta,
 )
 from .errors import DomainError
-from .families import (
-    SmoothingFamily,
-    _log_ratio_batch,
-    radius_stats,
-    sample_chunks,
-)
+from .families import SmoothingFamily, radius_stats, sample_chunks
 from .rng import RandomStream
 
 # ---------------------------------------------------------------------------
@@ -87,14 +84,15 @@ def _sweep_point(
     Robustness is the discrepancy at lambda = 1 (the total-variation
     slice of the trade-off) evaluated at the worst shift.
     """
-    delta = worst_delta(threat, family).vector
+    wd = worst_delta(threat, family)
     hits = 0
     rob_sum = 0.0
     rob_sq = 0.0
     with np.errstate(over="ignore", divide="ignore"):
         for block in sample_chunks(family, n, rng):
             hits += int(evaluate(truth, x0 + block).sum())
-            vals = 1.0 - np.exp(_log_ratio_batch(family, block, delta))
+            stats = shift_statistics(family, wd.rationale, block)
+            vals = 1.0 - np.exp(log_ratio(stats, wd.step))
             np.maximum(vals, 0.0, out=vals)
             rob_sum += float(vals.sum())
             rob_sq += float((vals * vals).sum())

@@ -184,6 +184,10 @@ class TestExternalClassifier:
             got = evaluate(ext, np.zeros((17, 4)))
         assert got.sum() == 0
 
+    def test_empty_batch(self):
+        with ExternalClassifier(WORKER + ["constant"]) as ext:
+            assert evaluate(ext, np.zeros((0, 4))).shape == (0,)
+
     def test_malformed_response(self, tmp_path):
         script = tmp_path / "bad_worker.py"
         script.write_text(
@@ -198,6 +202,20 @@ class TestExternalClassifier:
             with pytest.raises(TransportError, match="malformed"):
                 evaluate(ext, np.zeros((3, 2)))
 
+    def test_extra_response_lines(self, tmp_path):
+        script = tmp_path / "chatty_worker.py"
+        script.write_text(
+            "import sys\n"
+            "header = sys.stdin.readline().split()\n"
+            "n = int(header[1])\n"
+            "for _ in range(n): sys.stdin.readline()\n"
+            "sys.stdout.write('1\\n' * (n + 1))\n"
+            "sys.stdout.flush()\n"
+        )
+        with ExternalClassifier([sys.executable, str(script)]) as ext:
+            with pytest.raises(TransportError, match="more than 3 response lines"):
+                evaluate(ext, np.zeros((3, 2)))
+
     def test_timeout(self, tmp_path):
         script = tmp_path / "sleepy_worker.py"
         script.write_text("import time\ntime.sleep(60)\n")
@@ -209,6 +227,49 @@ class TestExternalClassifier:
         with ExternalClassifier([sys.executable, "-c", "raise SystemExit(1)"]) as ext:
             with pytest.raises(TransportError):
                 evaluate(ext, np.zeros((2, 2)))
+
+    def test_row_by_row_worker_with_large_batch(self, tmp_path):
+        # a worker that answers each row as it reads it stops reading once
+        # its unread replies fill the pipe (about 32k two-byte lines), so
+        # the adapter must read labels while it is still writing rows
+        script = tmp_path / "row_worker.py"
+        script.write_text(
+            "import sys\n"
+            "while True:\n"
+            "    header = sys.stdin.readline()\n"
+            "    if not header:\n"
+            "        break\n"
+            "    for _ in range(int(header.split()[1])):\n"
+            "        row = sys.stdin.readline().split()\n"
+            "        sys.stdout.write('1\\n' if float(row[0]) >= float(row[1]) else '0\\n')\n"
+            "        sys.stdout.flush()\n"
+        )
+        pts = np.random.default_rng(4).normal(size=(100_000, 2))
+        with ExternalClassifier(
+            [sys.executable, str(script)], batch_size=100_000, timeout_ms=10_000
+        ) as ext:
+            got = evaluate(ext, pts)
+        assert np.array_equal(got, evaluate(Halfspace(np.array([1.0, -1.0]), 0.0), pts))
+
+    def test_timeout_applies_per_batch(self, tmp_path):
+        # four batches at 0.4 s each take longer than the timeout in total,
+        # but each is answered within it of the previous one
+        script = tmp_path / "slow_worker.py"
+        script.write_text(
+            "import sys, time\n"
+            "while True:\n"
+            "    header = sys.stdin.readline()\n"
+            "    if not header:\n"
+            "        break\n"
+            "    n = int(header.split()[1])\n"
+            "    for _ in range(n): sys.stdin.readline()\n"
+            "    time.sleep(0.4)\n"
+            "    sys.stdout.write('1\\n' * n)\n"
+            "    sys.stdout.flush()\n"
+        )
+        with ExternalClassifier([sys.executable, str(script)], batch_size=2, timeout_ms=1000) as ext:
+            got = evaluate(ext, np.zeros((8, 3)))
+        assert got.tolist() == [1] * 8
 
     def test_declared_dimension_checked(self):
         ext = ExternalClassifier(WORKER + ["constant"], dim=5)

@@ -323,10 +323,11 @@ def _direct_d_mean(ratios: np.ndarray, lam: float) -> float:
 
 
 def _drawn_ratios(fam, threat, n, rng, workers):
-    from smoothcert.discrepancy import _ratio_partitions, noise_partitions
+    from smoothcert.discrepancy import log_ratio, noise_statistics
 
-    delta = worst_delta(threat, fam).vector
-    return np.concatenate(_ratio_partitions(fam, delta, noise_partitions(fam, n, rng, workers)))
+    wd = worst_delta(threat, fam)
+    stats = noise_statistics(fam, wd.rationale, n, rng, workers)
+    return np.concatenate([np.exp(log_ratio(s, wd.step)) for s in stats])
 
 
 class TestSortedSweep:
@@ -385,15 +386,104 @@ class TestSortedSweep:
         assert (a.bound, a.lambda_star, a.std_error) == (b.bound, b.lambda_star, b.std_error)
 
     def test_draws_must_match_n(self):
-        from smoothcert.discrepancy import noise_partitions
+        from smoothcert.discrepancy import noise_statistics
 
         fam = SmoothingFamily.gaussian(3, 1.0)
-        draws = [list(p) for p in noise_partitions(fam, 1_000, RandomStream(44), 2)]
+        stats = noise_statistics(fam, "L2Boundary", 1_000, RandomStream(44), 2)
         with pytest.raises(DomainError):
             dual_lower_bound(
                 0.9, fam, ThreatModel("l2", 0.1), LambdaGrid(), 2_000, 1e-3, RandomStream(44),
-                draws=draws,
+                stats=stats,
             )
+
+
+# every supported (threat, family) pair, with k = 0 and k > 0 where the family has a power term
+_RAY_PAIRS = [
+    ("l2", SmoothingFamily.gaussian(6, 1.3)),
+    ("l2", SmoothingFamily.l2_power_tail(6, 0.0, 1.3)),
+    ("l2", SmoothingFamily.l2_power_tail(6, 2.5, 1.3)),
+    ("l1", SmoothingFamily.laplacian(6, 0.7)),
+    ("l1", SmoothingFamily.l1_power_tail(6, 0.0, 0.7)),
+    ("l1", SmoothingFamily.l1_power_tail(6, 2.0, 0.7)),
+    ("linf", SmoothingFamily.mixed_norm(6, 0.0, 1.1)),
+    ("linf", SmoothingFamily.mixed_norm(6, 2.0, 1.1)),
+    ("linf", SmoothingFamily.linf_pure(6, 0.0, 1.1)),
+    ("linf", SmoothingFamily.linf_pure(6, 2.0, 1.1)),
+    ("linf", SmoothingFamily.gaussian(6, 1.1)),
+    ("linf", SmoothingFamily.l2_power_tail(6, 0.0, 1.1)),
+    ("linf", SmoothingFamily.l2_power_tail(6, 3.0, 1.1)),
+]
+_RAY_IDS = [f"{n}-{f.variant}-k{f.k:g}" for n, f in _RAY_PAIRS]
+
+
+class TestShiftStatistics:
+    @pytest.mark.parametrize("norm, fam", _RAY_PAIRS, ids=_RAY_IDS)
+    def test_matches_full_row_log_ratio(self, norm, fam):
+        from smoothcert import sample
+        from smoothcert.discrepancy import log_ratio, shift_statistics
+        from smoothcert.families import _log_ratio_batch
+
+        rng = np.random.default_rng(45)
+        for r in (0.01, 0.3, 1.7):
+            wd = worst_delta(ThreatModel(norm, r), fam)
+            z = sample(fam, 5_000, RandomStream(45)).points
+            # rows within 1e-6 of the shift point, where the power term peaks
+            near = rng.standard_normal((200, fam.dim))
+            near *= rng.uniform(1e-9, 1e-6, size=(200, 1)) / np.linalg.norm(near, axis=1, keepdims=True)
+            z[:200] = wd.vector + near
+            got = log_ratio(shift_statistics(fam, wd.rationale, z), wd.step)
+            ref = _log_ratio_batch(fam, z, wd.vector)
+            # log scale, so 1e-12 here is 1e-12 relative on the ratio
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    @pytest.mark.parametrize("norm, fam", _RAY_PAIRS, ids=_RAY_IDS)
+    def test_zero_radius_is_exactly_one(self, norm, fam):
+        from smoothcert import sample
+        from smoothcert.discrepancy import log_ratio, shift_statistics
+
+        wd = worst_delta(ThreatModel(norm, 0.0), fam)
+        z = sample(fam, 5_000, RandomStream(46)).points
+        assert np.all(np.exp(log_ratio(shift_statistics(fam, wd.rationale, z), 0.0)) == 1.0)
+
+    def test_rejects_a_ray_of_another_family(self):
+        from smoothcert.discrepancy import noise_statistics, shift_statistics
+
+        with pytest.raises(DomainError):
+            shift_statistics(SmoothingFamily.mixed_norm(3, 1.0, 1.0), "L2Boundary", np.ones((2, 3)))
+        fam = SmoothingFamily.l2_power_tail(3, 1.0, 1.0)
+        stats = noise_statistics(fam, "L2Boundary", 1_000, RandomStream(47))
+        with pytest.raises(DomainError):
+            dual_lower_bound(
+                0.9, fam, ThreatModel("linf", 0.1), LambdaGrid(), 1_000, 1e-3, RandomStream(47),
+                stats=stats,
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_radius_search_holds_statistics_only(self, monkeypatch, workers):
+        import sys
+
+        from smoothcert import ConfidenceBudget, Constant, certified_radius_search
+        from smoothcert.discrepancy import _partition_counts
+
+        certify = sys.modules["smoothcert.certify"]  # the package exports a function of that name
+        seen = []
+        real = certify.dual_lower_bound
+
+        def recording(*args, stats=None, **kwargs):
+            seen.append(stats)
+            return real(*args, stats=stats, **kwargs)
+
+        monkeypatch.setattr(certify, "dual_lower_bound", recording)
+        fam, n2 = SmoothingFamily.mixed_norm(5, 1.0, 1.0), 3_001
+        certified_radius_search(
+            Constant(1), np.zeros(5), fam, "linf", r_max=1.0, grid=LambdaGrid(), n1=1000,
+            n2=n2, budget=ConfidenceBudget.split(0.002), rng=RandomStream(48), workers=workers,
+        )
+        assert len(seen) == 12 and all(s is seen[0] for s in seen)
+        assert [s.n for s in seen[0]] == _partition_counts(n2, workers)
+        for s in seen[0]:
+            assert len(s.columns) == 3
+            assert all(c.ndim == 1 and c.size == s.n for c in s.columns)
 
 
 class TestLambdaGrid:
