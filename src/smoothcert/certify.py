@@ -3,7 +3,7 @@
 The closed forms cover Gaussian smoothing under l2 threats, Laplacian
 smoothing under l1 threats, and the bilateral Gaussian radius. The
 pipelines estimate p0 from classifier samples (exact one-sided
-Clopper-Pearson), then maximize the dual bound over the lambda grid;
+Clopper-Pearson), then maximize the dual bound exactly over lambda;
 a certificate is issued when the bound clears 1/2.
 
 Confidence accounting: the total budget splits into the p0 test and
@@ -21,9 +21,7 @@ import numpy as np
 from .classifiers import BinomialEvidence, Classifier, success_counts
 from .discrepancy import (
     DualBoundResult,
-    LambdaGrid,
     ThreatModel,
-    discrepancy_mc,
     dual_lower_bound,
     noise_statistics,
     worst_delta,
@@ -113,6 +111,9 @@ class Certificate:
                 "alpha_mc": self.budget.alpha_mc,
             },
             "sample_counts": {"n1": self.n1, "n2": self.n2},
+            "d_mean": self.dual.d_mean if self.dual is not None else None,
+            "epsilon": self.dual.epsilon if self.dual is not None else None,
+            "std_error": self.dual.std_error if self.dual is not None else None,
         }
 
 
@@ -257,7 +258,6 @@ def certify(
     x0: np.ndarray,
     family: SmoothingFamily,
     threat: ThreatModel,
-    grid: LambdaGrid,
     n1: int,
     n2: int,
     budget: ConfidenceBudget,
@@ -265,20 +265,20 @@ def certify(
     workers: int = 1,
     input_id: str = "x0",
 ) -> Certificate:
-    """Full-grid certification (one input).
+    """Certification of one input.
 
     Stage 1 draws n1 noise samples, counts classifier successes, and
-    lower-bounds p0 at level alpha_p0. Stage 2 runs the dual bound with
-    n2 fresh samples at level alpha_mc. Certified iff the bound exceeds
-    1/2; if the p0 bound itself cannot clear 1/2 the pipeline abstains
-    without spending stage 2.
+    lower-bounds p0 at level alpha_p0. Stage 2 maximizes the dual bound
+    exactly over lambda with n2 fresh samples at level alpha_mc.
+    Certified iff the bound exceeds 1/2; if the p0 bound itself cannot
+    clear 1/2 the pipeline abstains without spending stage 2.
     """
     evidence = success_counts(classifier, x0, family, n1, rng.child(0))
     p0_lower = clopper_pearson_lower(evidence, budget.alpha_p0)
     if p0_lower <= 0.5:
         return _abstain_certificate(input_id, p0_lower, threat, family, budget, n1, n2)
     dual = dual_lower_bound(
-        p0_lower, family, threat, grid, n2, budget.alpha_mc, rng.child(1), workers=workers
+        p0_lower, family, threat, n2, budget.alpha_mc, rng.child(1), workers=workers
     )
     bound = min(dual.bound, 1.0)
     return Certificate(
@@ -296,73 +296,12 @@ def certify(
     )
 
 
-def certify_practical(
-    classifier: Classifier,
-    x0: np.ndarray,
-    family: SmoothingFamily,
-    threat: ThreatModel,
-    grid: LambdaGrid,
-    pilot_counts: tuple[int, int],
-    final_counts: tuple[int, int],
-    budget: ConfidenceBudget,
-    rng: RandomStream,
-    workers: int = 1,
-    input_id: str = "x0",
-) -> Certificate:
-    """Two-stage certification: cheap pilot to pick lambda, then commit.
-
-    The pilot estimates the per-lambda bound over the whole grid with
-    small counts and selects lambda_hat = argmax; it is purely a
-    heuristic and charges no confidence budget. The final stage uses
-    fresh samples at the final counts and evaluates only lambda_hat,
-    so its Hoeffding term needs no grid union. The final bound is
-    rigorous regardless of pilot quality; a bad pilot merely loosens
-    it.
-    """
-    n1_pilot, n2_pilot = pilot_counts
-    n1, n2 = final_counts
-
-    pilot_evidence = success_counts(classifier, x0, family, n1_pilot, rng.child(2))
-    pilot_p0 = clopper_pearson_lower(pilot_evidence, budget.alpha_p0)
-    lambda_hat = grid.values()[0]
-    if pilot_p0 > 0.0:
-        pilot = dual_lower_bound(
-            pilot_p0, family, threat, grid, n2_pilot, budget.alpha_mc, rng.child(3),
-            workers=workers,
-        )
-        lambda_hat = pilot.lambda_star
-
-    evidence = success_counts(classifier, x0, family, n1, rng.child(0))
-    p0_lower = clopper_pearson_lower(evidence, budget.alpha_p0)
-    if p0_lower <= 0.5:
-        return _abstain_certificate(input_id, p0_lower, threat, family, budget, n1, n2)
-    delta = worst_delta(threat, family)
-    est = discrepancy_mc(
-        family, delta.vector, float(lambda_hat), n2, budget.alpha_mc, rng.child(1),
-        workers=workers,
-    )
-    bound = min(float(lambda_hat) * p0_lower - est.upper, 1.0)
-    return Certificate(
-        input_id=input_id,
-        status=CERTIFIED if bound > 0.5 else NOT_CERTIFIED,
-        p0_lower=p0_lower,
-        bound=bound,
-        lambda_star=float(lambda_hat),
-        threat=threat,
-        family=family,
-        budget=budget,
-        n1=n1,
-        n2=n2,
-    )
-
-
 def certified_radius_search(
     classifier: Classifier,
     x0: np.ndarray,
     family: SmoothingFamily,
     threat_norm: str,
     r_max: float,
-    grid: LambdaGrid,
     n1: int,
     n2: int,
     budget: ConfidenceBudget,
@@ -377,10 +316,10 @@ def certified_radius_search(
     noise rows are drawn once and reduced to their worst-shift
     statistics (2 or 3 floats per row, see ``ShiftStatistics``), which
     every probe reuses: only the radius along the ray changes, and a
-    probe costs O(n2) plus the sort of its ratios. Every probe is a
-    rigorous certificate at its own radius with the MC budget split
-    across all probes, so the reported radius (snapped down to
-    ``r_step`` if given) was itself certified, not interpolated.
+    probe costs O(n2). Every probe is a rigorous certificate at its own
+    radius with the MC budget split across all probes, so the reported
+    radius (snapped down to ``r_step`` if given) was itself certified,
+    not interpolated.
     """
     if not r_max > 0.0:
         raise DomainError(f"r_max must be > 0, got {r_max}")
@@ -401,8 +340,7 @@ def certified_radius_search(
         mid = 0.5 * (lo + hi)
         threat = ThreatModel(norm=threat_norm, radius=mid)
         dual = dual_lower_bound(
-            p0_lower, family, threat, grid, n2, alpha_probe, dual_rng, workers=workers,
-            stats=stats,
+            p0_lower, family, threat, n2, alpha_probe, dual_rng, workers=workers, stats=stats
         )
         bound = min(dual.bound, 1.0)
         if bound > 0.5:

@@ -30,7 +30,6 @@ from .certify import (
     ConfidenceBudget,
     certified_radius_search,
     certify,
-    certify_practical,
     cohen_radius,
     gaussian_bilateral_radius,
     teng_radius,
@@ -42,7 +41,7 @@ from .classifiers import (
     ExternalClassifier,
     Halfspace,
 )
-from .discrepancy import LambdaGrid, QuadratureGrid, ThreatModel
+from .discrepancy import QuadratureGrid, ThreatModel
 from .errors import (
     ConfigError,
     DomainError,
@@ -73,30 +72,68 @@ RADIUS_CAP = 1e12
 # strict config parsing
 
 
+def _object(section, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    return section
+
+
 def _strict(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+    unknown = set(_object(section, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
 def _require(section: dict, key: str, where: str):
-    if key not in section:
+    if key not in _object(section, where):
         raise ConfigError(f"missing required key {key!r} in {where}")
     return section[key]
+
+
+_REQUIRED = object()
+
+
+def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: bool = False):
+    """section[key] as a finite float (an int if ``integer``).
+
+    A missing key gives ``default``, or a ``ConfigError`` when there is
+    none; so does anything but a JSON number (strings included).
+    """
+    if key not in _object(section, where) and default is not _REQUIRED:
+        return default
+    value = _require(section, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    if integer:
+        if value != int(value):
+            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        return int(value)
+    return float(value)
+
+
+def _vector(value, where: str) -> np.ndarray:
+    """A flat list of finite JSON numbers as a float array."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"{where} must be a list of finite numbers: {exc}") from exc
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{where} must be a list of finite numbers, got {value!r}")
+    return arr.astype(float)
 
 
 def parse_family(section: dict, where: str = "family") -> SmoothingFamily:
     _strict(section, {"variant", "dim", "k", "sigma", "b"}, where)
     variant = _require(section, "variant", where)
-    dim = int(_require(section, "dim", where))
-    k = float(section.get("k", 0.0))
+    dim = _number(section, "dim", where, integer=True)
+    k = _number(section, "k", where, 0.0)
     try:
         family = SmoothingFamily(
             variant=variant,
             dim=dim,
             k=k,
-            sigma=section.get("sigma"),
-            b=section.get("b"),
+            sigma=_number(section, "sigma", where, None),
+            b=_number(section, "b", where, None),
         )
     except EngineError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
@@ -116,33 +153,21 @@ def parse_threat(section: dict, where: str = "threat") -> ThreatModel:
     try:
         return ThreatModel(
             norm=_require(section, "norm", where),
-            radius=float(_require(section, "radius", where)),
+            radius=_number(section, "radius", where),
         )
     except EngineError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def parse_lambda_grid(section: dict) -> LambdaGrid:
-    _strict(section, {"start", "end", "count"}, "lambda_grid")
-    try:
-        return LambdaGrid(
-            start=float(section.get("start", 1e-2)),
-            end=float(section.get("end", 1e4)),
-            count=int(section.get("count", 200)),
-        )
-    except EngineError as exc:
-        raise ConfigError(f"invalid lambda_grid: {exc}") from exc
-
-
 def parse_budget(section: dict) -> ConfidenceBudget:
     _strict(section, {"alpha_total", "alpha_p0", "alpha_mc"}, "budget")
-    alpha_total = float(section.get("alpha_total", 1e-3))
+    alpha_total = _number(section, "alpha_total", "budget", 1e-3)
     try:
         if "alpha_p0" in section or "alpha_mc" in section:
             return ConfidenceBudget(
                 alpha_total=alpha_total,
-                alpha_p0=float(_require(section, "alpha_p0", "budget")),
-                alpha_mc=float(_require(section, "alpha_mc", "budget")),
+                alpha_p0=_number(section, "alpha_p0", "budget"),
+                alpha_mc=_number(section, "alpha_mc", "budget"),
             )
         return ConfidenceBudget.split(alpha_total)
     except EngineError as exc:
@@ -154,27 +179,27 @@ def parse_classifier(section: dict, where: str = "classifier") -> Classifier:
     try:
         if kind == "constant":
             _strict(section, {"kind", "label"}, where)
-            return Constant(label=int(section.get("label", 1)))
+            return Constant(label=_number(section, "label", where, 1, integer=True))
         if kind == "ball":
             _strict(section, {"kind", "norm", "center", "radius"}, where)
             return BallIndicator(
                 norm=section.get("norm", "l2"),
-                center=np.asarray(_require(section, "center", where), dtype=float),
-                radius=float(_require(section, "radius", where)),
+                center=_vector(_require(section, "center", where), f"{where}.center"),
+                radius=_number(section, "radius", where),
             )
         if kind == "halfspace":
             _strict(section, {"kind", "w", "c"}, where)
             return Halfspace(
-                w=np.asarray(_require(section, "w", where), dtype=float),
-                c=float(section.get("c", 0.0)),
+                w=_vector(_require(section, "w", where), f"{where}.w"),
+                c=_number(section, "c", where, 0.0),
             )
         if kind == "external":
             _strict(section, {"kind", "command", "batch_size", "timeout_ms", "dim"}, where)
             return ExternalClassifier(
                 command=_require(section, "command", where),
-                batch_size=int(section.get("batch_size", 1024)),
-                timeout_ms=int(section.get("timeout_ms", 30_000)),
-                dim=section.get("dim"),
+                batch_size=_number(section, "batch_size", where, 1024, integer=True),
+                timeout_ms=_number(section, "timeout_ms", where, 30_000, integer=True),
+                dim=_number(section, "dim", where, None, integer=True),
             )
     except EngineError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
@@ -186,9 +211,15 @@ def _load_inputs(section: dict, dim: int) -> list[np.ndarray]:
     if ("vectors" in section) == ("file" in section):
         raise ConfigError("inputs needs exactly one of 'vectors' or 'file'")
     if "vectors" in section:
-        rows = [np.asarray(v, dtype=float) for v in section["vectors"]]
+        vectors = section["vectors"]
+        if not isinstance(vectors, list):
+            raise ConfigError(f"inputs.vectors must be a list, got {vectors!r}")
     else:
-        rows = [np.asarray(r, dtype=float) for r in np.loadtxt(section["file"], delimiter=",", ndmin=2)]
+        try:
+            vectors = np.loadtxt(section["file"], delimiter=",", ndmin=2)
+        except (OSError, ValueError, TypeError) as exc:
+            raise ConfigError(f"cannot read inputs.file: {exc}") from exc
+    rows = [_vector(v, f"inputs[{i}]") for i, v in enumerate(vectors)]
     for i, row in enumerate(rows):
         if row.shape != (dim,):
             raise ConfigError(f"inputs[{i}] has length {row.shape}, family dim is {dim}")
@@ -238,36 +269,28 @@ def _certificate_rows(certs: list[Certificate]) -> list[list]:
     ]
 
 
-def _run_certify(cfg: dict, out: Path) -> int:
-    family = parse_family(cfg["family"])
-    threat = parse_threat(cfg["threat"])
-    grid = parse_lambda_grid(cfg.get("lambda_grid", {}))
-    budget = parse_budget(cfg.get("budget", {}))
+def _counts(cfg: dict) -> tuple[int, int]:
     counts = cfg.get("counts", {})
-    _strict(counts, {"n1", "n2", "pilot_n1", "pilot_n2"}, "counts")
-    n1 = int(counts.get("n1", 100_000))
-    n2 = int(counts.get("n2", 100_000))
-    pilot_n1 = int(counts.get("pilot_n1", 0))
-    pilot_n2 = int(counts.get("pilot_n2", 0))
+    _strict(counts, {"n1", "n2"}, "counts")
+    return (_number(counts, "n1", "counts", 100_000, integer=True),
+            _number(counts, "n2", "counts", 100_000, integer=True))
+
+
+def _run_certify(cfg: dict, out: Path) -> int:
+    family = parse_family(_require(cfg, "family", "config"))
+    threat = parse_threat(_require(cfg, "threat", "config"))
+    budget = parse_budget(cfg.get("budget", {}))
+    n1, n2 = _counts(cfg)
     classifier = parse_classifier(_require(cfg, "classifier", "config"))
     inputs = _load_inputs(_require(cfg, "inputs", "config"), family.dim)
     root = RandomStream(cfg["seed"])
     workers = cfg["workers"]
-    practical = pilot_n1 > 0 and pilot_n2 > 0
 
     def one(idx_x0: tuple[int, np.ndarray]) -> Certificate:
         idx, x0 = idx_x0
-        stream = root.child(idx)
-        input_id = f"input{idx}"
-        if practical:
-            return certify_practical(
-                classifier, x0, family, threat, grid,
-                (pilot_n1, pilot_n2), (n1, n2), budget, stream,
-                workers=workers, input_id=input_id,
-            )
         return certify(
-            classifier, x0, family, threat, grid, n1, n2, budget, stream,
-            workers=workers, input_id=input_id,
+            classifier, x0, family, threat, n1, n2, budget, root.child(idx),
+            workers=workers, input_id=f"input{idx}",
         )
 
     try:
@@ -282,13 +305,6 @@ def _run_certify(cfg: dict, out: Path) -> int:
         if isinstance(classifier, ExternalClassifier):
             classifier.close()
 
-    if cfg.get("trace", False):
-        for cert in certs:
-            if cert.dual is not None:
-                cert.dual.trace_to_csv(
-                    out / f"trace_{cert.input_id}.csv",
-                    header_lines=(f"engine_version={__version__}",),
-                )
     _write_json(out / "result.json", _result_payload(cfg, {
         "certificates": [c.to_dict() for c in certs],
     }))
@@ -303,18 +319,18 @@ def _run_certify(cfg: dict, out: Path) -> int:
 def _closed_form_radius(section: dict) -> dict:
     _strict(section, {"method", "p0", "pa", "pb", "sigma", "b", "cap"}, "closed_form")
     method = _require(section, "method", "closed_form")
-    cap = float(section.get("cap", RADIUS_CAP))
+    cap = _number(section, "cap", "closed_form", RADIUS_CAP)
     if method == "cohen":
-        value = cohen_radius(float(_require(section, "p0", "closed_form")),
-                             float(section.get("sigma", 1.0)))
+        value = cohen_radius(_number(section, "p0", "closed_form"),
+                             _number(section, "sigma", "closed_form", 1.0))
     elif method == "teng":
-        value = teng_radius(float(_require(section, "p0", "closed_form")),
-                            float(section.get("b", 1.0)), cap=cap)
+        value = teng_radius(_number(section, "p0", "closed_form"),
+                            _number(section, "b", "closed_form", 1.0), cap=cap)
     elif method == "bilateral":
         value = gaussian_bilateral_radius(
-            float(_require(section, "pa", "closed_form")),
-            float(_require(section, "pb", "closed_form")),
-            float(section.get("sigma", 1.0)),
+            _number(section, "pa", "closed_form"),
+            _number(section, "pb", "closed_form"),
+            _number(section, "sigma", "closed_form", 1.0),
         )
     else:
         raise ConfigError(f"unknown closed_form method {method!r}")
@@ -336,27 +352,24 @@ def _run_radius(cfg: dict, out: Path) -> int:
                    ["method", "radius", "certified", "saturated"],
                    [[body["method"], body["radius"], body["certified"], body["saturated"]]])
         return 0
-    family = parse_family(cfg["family"])
+    family = parse_family(_require(cfg, "family", "config"))
     search = cfg.get("search", {})
     _strict(search, {"norm", "r_max", "iterations", "r_step"}, "search")
-    grid = parse_lambda_grid(cfg.get("lambda_grid", {}))
     budget = parse_budget(cfg.get("budget", {}))
-    counts = cfg.get("counts", {})
-    _strict(counts, {"n1", "n2"}, "counts")
+    n1, n2 = _counts(cfg)
     classifier = parse_classifier(_require(cfg, "classifier", "config"))
     inputs = _load_inputs(_require(cfg, "inputs", "config"), family.dim)
     try:
         radius, cert = certified_radius_search(
             classifier, inputs[0], family,
             search.get("norm", "l2"),
-            float(search.get("r_max", 4.0 * family.scale)),
-            grid,
-            int(counts.get("n1", 100_000)),
-            int(counts.get("n2", 100_000)),
+            _number(search, "r_max", "search", 4.0 * family.scale),
+            n1,
+            n2,
             budget,
             RandomStream(cfg["seed"]),
-            iterations=int(search.get("iterations", 12)),
-            r_step=search.get("r_step"),
+            iterations=_number(search, "iterations", "search", 12, integer=True),
+            r_step=_number(search, "r_step", "search", None),
             workers=cfg["workers"],
         )
     finally:
@@ -379,8 +392,8 @@ def _run_radius(cfg: dict, out: Path) -> int:
 
 
 def _run_sample(cfg: dict, out: Path) -> int:
-    family = parse_family(cfg["family"])
-    n = int(cfg.get("n", 1000))
+    family = parse_family(_require(cfg, "family", "config"))
+    n = _number(cfg, "n", "config", 1000, integer=True)
     batch = sample(family, n, RandomStream(cfg["seed"]))
     batch.to_csv(out / "samples.csv")
     body: dict = {
@@ -405,14 +418,14 @@ def _run_sample(cfg: dict, out: Path) -> int:
 def _run_pareto(cfg: dict, out: Path) -> int:
     section = cfg.get("pareto", {})
     _strict(section, {"dim", "n", "truth", "threat", "grids", "x0"}, "pareto")
-    dim = int(section.get("dim", 5))
-    n = int(section.get("n", 100_000))
+    dim = _number(section, "dim", "pareto", 5, integer=True)
+    n = _number(section, "n", "pareto", 100_000, integer=True)
     truth = parse_classifier(section.get("truth", {"kind": "ball", "norm": "l2",
                                                    "center": [0.0] * dim, "radius": 0.65}),
                              where="pareto.truth")
     threat = parse_threat(section.get("threat", {"norm": "linf", "radius": 0.65}),
                           where="pareto.threat")
-    x0 = np.asarray(section.get("x0", [0.0] * dim), dtype=float)
+    x0 = _vector(section.get("x0", [0.0] * dim), "pareto.x0")
     grids = []
     default_grids = [
         {"variant": "l2_power_tail"},
@@ -421,12 +434,14 @@ def _run_pareto(cfg: dict, out: Path) -> int:
     ]
     for g in section.get("grids", default_grids):
         _strict(g, {"variant", "k_values", "scale_values"}, "pareto.grids[]")
-        k_default = tuple(float(v) for v in np.linspace(0.0, min(3.5, dim - 1.5), 8))
-        s_default = tuple(float(v) for v in np.geomspace(0.05, 2.0, 10))
+        k_default = np.linspace(0.0, min(3.5, dim - 1.5), 8)
+        s_default = np.geomspace(0.05, 2.0, 10)
+        k_values = _vector(g.get("k_values", k_default), "pareto.grids[].k_values")
+        scale_values = _vector(g.get("scale_values", s_default), "pareto.grids[].scale_values")
         grids.append(FamilyGrid(
             variant=_require(g, "variant", "pareto.grids[]"),
-            k_values=tuple(float(v) for v in g.get("k_values", k_default)),
-            scale_values=tuple(float(v) for v in g.get("scale_values", s_default)),
+            k_values=tuple(k_values.tolist()),
+            scale_values=tuple(scale_values.tolist()),
         ))
     points = pareto_sweep(
         truth, x0, threat, grids, dim, n, RandomStream(cfg["seed"]),
@@ -468,10 +483,10 @@ def _run_pareto(cfg: dict, out: Path) -> int:
 def _run_verify(cfg: dict, out: Path) -> int:
     section = cfg.get("verify", {})
     _strict(section, {"n", "n_radial", "n_angular"}, "verify")
-    n = int(section.get("n", 100_000))
+    n = _number(section, "n", "verify", 100_000, integer=True)
     quad = QuadratureGrid(
-        n_radial=int(section.get("n_radial", 768)),
-        n_angular=int(section.get("n_angular", 1280)),
+        n_radial=_number(section, "n_radial", "verify", 768, integer=True),
+        n_angular=_number(section, "n_angular", "verify", 1280, integer=True),
     )
     root = RandomStream(cfg["seed"])
     checks: dict[str, bool] = {}
@@ -540,7 +555,7 @@ def _run_verify(cfg: dict, out: Path) -> int:
 def _run_bench(cfg: dict, out: Path) -> int:
     import time
 
-    n = int(cfg.get("n", 100_000))
+    n = _number(cfg, "n", "config", 100_000, integer=True)
     family = parse_family(cfg.get("family", {"variant": "gaussian", "dim": 16, "sigma": 1.0}))
     rng = RandomStream(cfg["seed"])
     t0 = time.perf_counter()
@@ -570,8 +585,8 @@ _RUNNERS = {
 }
 
 _TOP_LEVEL_KEYS = {
-    "command", "seed", "workers", "out", "trace", "n",
-    "family", "threat", "lambda_grid", "counts", "budget", "classifier",
+    "command", "seed", "workers", "out", "n",
+    "family", "threat", "counts", "budget", "classifier",
     "inputs", "closed_form", "search", "pareto", "verify",
 }
 
@@ -582,7 +597,10 @@ def run(config: dict) -> int:
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
     _strict(config, _TOP_LEVEL_KEYS, "config")
-    out = Path(config.get("out", "smoothcert-out"))
+    out = config.get("out", "smoothcert-out")
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a path string, got {out!r}")
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[command](config, out)
 
@@ -626,23 +644,17 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     if args.seed is not None:
         cfg["seed"] = args.seed
     cfg.setdefault("seed", _default_seed())
-    cfg["seed"] = int(cfg["seed"])
+    cfg["seed"] = _number(cfg, "seed", "config", integer=True)
     if args.out is not None:
         cfg["out"] = args.out
     cfg.setdefault("out", "smoothcert-out")
     if args.workers is not None:
         cfg["workers"] = args.workers
     cfg.setdefault("workers", os.cpu_count() or 1)
-    cfg["workers"] = int(cfg["workers"])
+    cfg["workers"] = _number(cfg, "workers", "config", integer=True)
     if cfg["workers"] < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg['workers']}")
 
-    for name in ("lambda_start", "lambda_end", "lambda_count"):
-        value = getattr(args, name, None)
-        if value is not None:
-            grid = dict(cfg.get("lambda_grid", {}))
-            grid[name.removeprefix("lambda_")] = value
-            cfg["lambda_grid"] = grid
     for name, path in (("n1", ("counts", "n1")), ("n2", ("counts", "n2")),
                        ("alpha", ("budget", "alpha_total"))):
         value = getattr(args, name, None)
@@ -675,9 +687,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
         p.add_argument("--workers", type=int)
-        p.add_argument("--lambda-start", dest="lambda_start", type=float)
-        p.add_argument("--lambda-end", dest="lambda_end", type=float)
-        p.add_argument("--lambda-count", dest="lambda_count", type=int)
         p.add_argument("--n1", type=int)
         p.add_argument("--n2", type=int)
         p.add_argument("--alpha", type=float)

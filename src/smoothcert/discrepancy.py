@@ -10,19 +10,18 @@ three independent ways: Monte Carlo with a rigorous one-sided error
 Gaussian and Laplacian smoothing (oracles), and direct quadrature at
 d <= 3 (oracle). On top of it sits the dual lower bound
 
-    max over lambda of { lambda * p0 - (D_hat(lambda) + epsilon) }
+    max over lambda >= 0 of { lambda * p0 - (D_hat(lambda) + lambda * eps) }
 
-with the worst-case shift delta* resolved analytically per
-(threat, family) pair.
+with eps the half-width of one DKW band that covers every lambda at
+once, maximized exactly, and the worst-case shift delta* resolved
+analytically per (threat, family) pair.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -127,28 +126,11 @@ class TracePoint:
 
 
 @dataclass(frozen=True)
-class LambdaGrid:
-    """Log-spaced search grid for the dual coefficient."""
-
-    start: float = 1e-2
-    end: float = 1e4
-    count: int = 200
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.start <= self.end):
-            raise DomainError(f"lambda grid requires 0 < start <= end, got [{self.start}, {self.end}]")
-        if self.count < 1:
-            raise DomainError(f"lambda grid requires count >= 1, got {self.count}")
-        if self.count == 1 and self.start != self.end:
-            raise DomainError("a single-point grid requires start == end")
-
-    def values(self) -> np.ndarray:
-        return np.geomspace(self.start, self.end, self.count)
-
-
-@dataclass(frozen=True)
 class DualBoundResult:
-    """Outcome of the lambda-grid maximization of the dual bound."""
+    """Outcome of the exact maximization of the dual bound.
+
+    ``trace`` holds the one point evaluated, the optimum.
+    """
 
     bound: float
     lambda_star: float
@@ -160,15 +142,6 @@ class DualBoundResult:
     alpha: float
     delta: WorstDelta
     trace: tuple[TracePoint, ...] = field(repr=False)
-
-    def trace_to_csv(self, path: str | Path, header_lines: tuple[str, ...] = ()) -> None:
-        with Path(path).open("w", newline="", encoding="utf-8") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["lambda", "d_mean", "epsilon", "bound"])
-            for pt in self.trace:
-                writer.writerow([repr(pt.lam), repr(pt.d_mean), repr(pt.epsilon), repr(pt.bound)])
 
 
 # ---------------------------------------------------------------------------
@@ -398,40 +371,6 @@ def _estimate_from_parts(
     )
 
 
-# Block length of the two-level prefix sum in ``_positive_part_sweep``.
-_SWEEP_BLOCK = 1024
-
-
-def _positive_part_sweep(parts: list[np.ndarray]) -> Callable[[float], float]:
-    """sum over all ratios of (lambda - ratio)_+, as a function of lambda.
-
-    One sort serves every lambda. With s the sorted ratios and
-    c = #{s < lambda}, the sum is c (lambda - s[c-1]) + G[c-1], where
-    G[j] = sum_{i<=j} (s[j] - s[i]) = sum_{m<=j} m (s[m] - s[m-1]).
-    Both terms are sums of nonnegative numbers, so unlike
-    lambda c - sum_{i<c} s[i] nothing cancels when the ratios below
-    lambda crowd against it. G is a two-level prefix sum (inside blocks
-    of ``_SWEEP_BLOCK``, then over the block totals), which bounds its
-    relative rounding error by about (block length + block count)
-    machine epsilons. Each lambda then costs one binary search.
-    """
-    s = np.sort(np.concatenate(parts))
-    with np.errstate(invalid="ignore"):  # inf - inf past the last finite ratio
-        terms = np.arange(s.size) * np.diff(s, prepend=s[0])
-        prefix = np.pad(terms, (0, -s.size % _SWEEP_BLOCK)).reshape(-1, _SWEEP_BLOCK)
-        np.cumsum(prefix, axis=1, out=prefix)
-        prefix[1:] += np.cumsum(prefix[:-1, -1])[:, None]
-    prefix = prefix.ravel()
-
-    def positive_part_sum(lam: float) -> float:
-        c = int(np.searchsorted(s, lam, side="left"))
-        if c == 0:
-            return 0.0
-        return float(c * (lam - s[c - 1]) + prefix[c - 1])
-
-    return positive_part_sum
-
-
 def discrepancy_mc(
     family: SmoothingFamily,
     delta: np.ndarray,
@@ -659,37 +598,34 @@ def _check_quadrature_args(family: SmoothingFamily, lam: float) -> None:
 # dual bound
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def dual_lower_bound(
     p0_lower: float,
     family: SmoothingFamily,
     threat: ThreatModel,
-    grid: LambdaGrid,
     n: int,
     alpha_mc: float,
     rng: RandomStream,
     workers: int = 1,
-    refine_steps: int = 0,
     stats: Sequence[ShiftStatistics] | None = None,
 ) -> DualBoundResult:
-    """Maximize lambda * p0 - (D_hat(lambda) + epsilon) over the grid.
+    """Maximize lambda * p0 - (D_hat(lambda) + lambda * eps) over all lambda >= 0.
 
-    One shared sample batch serves every lambda (common random
-    numbers); each evaluation gets an epsilon at level
-    alpha_mc / (grid.count + refine_steps), so by the union bound the
-    returned value is a valid lower bound on the worst-case smoothed
-    value with probability >= 1 - alpha_mc (conditional on p0_lower
-    being valid). Ties resolve to the smallest lambda.
+    With R = pi_delta / pi_0, D(lambda) = E (lambda - R)_+ is the
+    integral of the CDF of R from 0 to lambda. The one-sided DKW
+    inequality (Massart 1990) bounds that CDF above by the empirical
+    CDF plus eps = sqrt(ln(1/alpha_mc) / 2n) at every point at once
+    with probability >= 1 - alpha_mc, valid for alpha_mc <= 1/2.
+    Integrating, D(lambda) <= D_hat(lambda) + lambda * eps for every
+    lambda simultaneously, so the returned value is a valid lower bound
+    on the worst-case smoothed value at any lambda, however it was
+    chosen from the data (conditional on p0_lower being valid).
 
-    Cost: n draws reduced to worst-shift statistics, O(n) ratios, one
-    sort of the ratios, then O(log n) per lambda (see
-    ``_positive_part_sweep``).
-
-    ``refine_steps`` adds golden-section probes around the grid argmax
-    (the dual objective is concave in lambda); the probes are charged
-    against the same union budget, so rigor is unaffected.
+    The empirical objective lambda * (p0 - eps) - D_hat(lambda) is
+    concave and piecewise linear with slope p0 - eps - F_hat(lambda),
+    so its smallest maximizer is the j-th smallest ratio,
+    j = ceil(n (p0 - eps)); if p0 <= eps the bound is 0 at lambda = 0.
+    Cost: n draws reduced to worst-shift statistics, O(n) ratios and
+    one O(n) selection.
 
     ``stats`` replaces the draw from ``rng``: the
     ``noise_statistics(family, rationale, n, rng, workers)`` of this
@@ -699,10 +635,8 @@ def dual_lower_bound(
     """
     if not 0.0 < p0_lower <= 1.0:
         raise DomainError(f"p0_lower must be in (0, 1], got {p0_lower}")
-    if refine_steps < 0:
-        raise DomainError(f"refine_steps must be >= 0, got {refine_steps}")
-    if not 0.0 < alpha_mc < 1.0:
-        raise DomainError(f"alpha_mc must be in (0, 1), got {alpha_mc}")
+    if not 0.0 < alpha_mc <= 0.5:
+        raise DomainError(f"alpha_mc must be in (0, 1/2] for the DKW band, got {alpha_mc}")
     wd = worst_delta(threat, family)
     if stats is None:
         stats = noise_statistics(family, wd.rationale, n, rng, workers)
@@ -713,56 +647,22 @@ def dual_lower_bound(
         raise DomainError(f"stats hold {rows} rows, expected n={n}")
     with np.errstate(over="ignore"):
         parts = [np.exp(log_ratio(s, wd.step)) for s in stats]
-    positive_part_sum = _positive_part_sweep(parts)
-    alpha_each = alpha_mc / (grid.count + refine_steps)
-
-    def evaluate(lam: float) -> TracePoint:
-        d_mean = min(positive_part_sum(lam) / n, lam)
-        eps = hoeffding_epsilon(n, lam, alpha_each)
-        return TracePoint(lam=lam, d_mean=d_mean, epsilon=eps, bound=lam * p0_lower - (d_mean + eps))
-
-    lams = grid.values()
-    trace = [evaluate(float(lam)) for lam in lams]
-    best_idx = 0
-    for i, pt in enumerate(trace):
-        if pt.bound > trace[best_idx].bound:
-            best_idx = i
-
-    probes: list[TracePoint] = []
-    if refine_steps > 0 and grid.count > 1:
-        lo = math.log(float(lams[max(best_idx - 1, 0)]))
-        hi = math.log(float(lams[min(best_idx + 1, grid.count - 1)]))
-        x1 = hi - _GOLDEN * (hi - lo)
-        x2 = lo + _GOLDEN * (hi - lo)
-        f1, f2 = evaluate(math.exp(x1)), evaluate(math.exp(x2))
-        probes += [f1, f2]
-        for _ in range(max(0, refine_steps - 2)):
-            if f1.bound >= f2.bound:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _GOLDEN * (hi - lo)
-                f1 = evaluate(math.exp(x1))
-                probes.append(f1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _GOLDEN * (hi - lo)
-                f2 = evaluate(math.exp(x2))
-                probes.append(f2)
-
-    best = trace[best_idx]
-    for pt in probes:
-        if pt.bound > best.bound or (pt.bound == best.bound and pt.lam < best.lam):
-            best = pt
-
-    winner = _estimate_from_parts(parts, n, best.lam, alpha_each)
+    slope = p0_lower - hoeffding_epsilon(n, 1.0, alpha_mc)
+    lam = 0.0
+    if slope > 0.0:
+        j = math.ceil(n * slope)
+        lam = float(np.partition(np.concatenate(parts), j - 1)[j - 1])
+    est = _estimate_from_parts(parts, n, lam, alpha_mc)
+    bound = lam * p0_lower - est.upper
     return DualBoundResult(
-        bound=best.bound,
-        lambda_star=best.lam,
-        d_mean=best.d_mean,
-        epsilon=best.epsilon,
-        std_error=winner.std_error,
+        bound=bound,
+        lambda_star=lam,
+        d_mean=est.mean,
+        epsilon=est.epsilon,
+        std_error=est.std_error,
         p0_lower=p0_lower,
         n=n,
         alpha=alpha_mc,
         delta=wd,
-        trace=tuple(trace + probes),
+        trace=(TracePoint(lam=lam, d_mean=est.mean, epsilon=est.epsilon, bound=bound),),
     )

@@ -19,7 +19,6 @@ import numpy as np
 from .classifiers import Classifier, evaluate
 from .discrepancy import (
     DualBoundResult,
-    LambdaGrid,
     QuadratureGrid,
     ThreatModel,
     _check_quadrature_args,
@@ -256,7 +255,6 @@ def best_bound_by_family(
     dim: int,
     n: int,
     rng: RandomStream,
-    lambda_grid: LambdaGrid | None = None,
     alpha: float = 1e-3,
 ) -> dict[str, FamilyBest]:
     """Best achievable dual bound per family over its parameter grid.
@@ -273,8 +271,6 @@ def best_bound_by_family(
     law, hence one accuracy, and mixed_norm has the larger vertex total
     variation.
     """
-    if lambda_grid is None:
-        lambda_grid = LambdaGrid(1e-2, 1e4, 120)
     x0 = np.asarray(x0, dtype=float)
     best: dict[str, FamilyBest] = {}
     tag = 0
@@ -291,7 +287,7 @@ def best_bound_by_family(
                 if acc <= 0.0:
                     continue
                 result = dual_lower_bound(
-                    min(acc, 1.0), family, threat, lambda_grid, n, alpha, rng.child(tag)
+                    min(acc, 1.0), family, threat, n, alpha, rng.child(tag)
                 )
                 tag += 1
                 if grid.variant not in best or result.bound > best[grid.variant].bound:

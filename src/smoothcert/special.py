@@ -1,9 +1,11 @@
-"""Self-contained special functions and variate generation.
+"""Special functions and variate generation.
 
 Everything downstream (confidence bounds, closed-form certificates,
 radius statistics) is built on the four primitives in this module:
 the standard normal CDF and its inverse, the log-gamma function, and
 the regularized incomplete beta function with its inverse in ``x``.
+They are thin wrappers over ``scipy.special`` (and ``math.lgamma``)
+that check their domain and raise ``DomainError`` outside it.
 
 All functions are pure. ``gamma_sample`` draws through a
 :class:`~smoothcert.rng.RandomStream`, so the same stream always yields
@@ -15,44 +17,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import betainc, betaincinv, ndtr, ndtri
 
 from .errors import DomainError
 from .rng import RandomStream
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Acklam's rational approximation for the normal quantile: the initial
-# guess is good to ~1.2e-9 before Newton polishing.
-_ACKLAM_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
 
 
 def std_normal_cdf(x: float) -> float:
@@ -62,20 +30,11 @@ def std_normal_cdf(x: float) -> float:
     """
     if math.isnan(x):
         raise DomainError("std_normal_cdf requires a finite argument")
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def std_normal_pdf(x: float) -> float:
-    """Standard normal density exp(-x^2/2) / sqrt(2*pi)."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
+    return float(ndtr(x))
 
 
 def std_normal_quantile(p: float) -> float:
     """Inverse standard normal CDF on the open interval (0, 1).
-
-    Acklam's rational approximation supplies the initial value and two
-    Newton steps on the CDF polish it, leaving the roundtrip error
-    Phi(Phi^-1(p)) - p at the floating-point floor (well under 1e-9).
 
     Raises
     ------
@@ -84,34 +43,7 @@ def std_normal_quantile(p: float) -> float:
     """
     if not 0.0 < p < 1.0:
         raise DomainError(f"quantile requires 0 < p < 1, got {p}")
-
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (
-            (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5])
-            * q
-            / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-
-    for _ in range(2):
-        density = std_normal_pdf(x)
-        if density < 1e-290:
-            break
-        x -= (std_normal_cdf(x) - p) / density
-    return x
+    return float(ndtri(p))
 
 
 def log_gamma(x: float) -> float:
@@ -119,60 +51,6 @@ def log_gamma(x: float) -> float:
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
     return math.lgamma(x)
-
-
-def _beta_cont_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return h
-    raise DomainError(f"incomplete beta continued fraction failed for a={a}, b={b}, x={x}")
-
-
-def _reg_incomplete_beta_direct(a: float, b: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (
-        log_gamma(a + b)
-        - log_gamma(a)
-        - log_gamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_fraction(a, b, x) / a
-    return 1.0 - front * _beta_cont_fraction(b, a, 1.0 - x) / b
 
 
 def reg_incomplete_beta(a: float, b: float, x: float) -> float:
@@ -185,42 +63,16 @@ def reg_incomplete_beta(a: float, b: float, x: float) -> float:
         raise DomainError(f"reg_incomplete_beta requires a, b > 0, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"reg_incomplete_beta requires 0 <= x <= 1, got x={x}")
-    value = _reg_incomplete_beta_direct(a, b, x)
-    return min(1.0, max(0.0, value))
+    return float(betainc(a, b, x))
 
 
 def reg_incomplete_beta_inverse(a: float, b: float, p: float) -> float:
-    """Solve I_x(a, b) = p for x by bracketed bisection.
-
-    Robustness is preferred over speed here: the inverse is evaluated
-    once per certification, and bisection cannot leave the bracket. The
-    result satisfies |I_x(a, b) - p| <= 1e-10 wherever the CDF slope is
-    bounded; where the density diverges (a or b below 1 near the
-    endpoints) it returns the representable x whose image is closest
-    to p, which is the best float64 can do.
-    """
+    """Solve I_x(a, b) = p for x."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"inverse beta requires a, b > 0, got a={a}, b={b}")
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"inverse beta requires 0 <= p <= 1, got p={p}")
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        x = 0.5 * (lo + hi)
-        if x <= lo or x >= hi:
-            break  # bracket reached adjacent floats
-        f = reg_incomplete_beta(a, b, x) - p
-        if abs(f) <= 1e-12:
-            return x
-        if f < 0.0:
-            lo = x
-        else:
-            hi = x
-    return min((lo, hi), key=lambda t: abs(reg_incomplete_beta(a, b, t) - p))
+    return float(betaincinv(a, b, p))
 
 
 def gamma_sample(

@@ -11,20 +11,16 @@ from smoothcert import (
     Constant,
     DomainError,
     Halfspace,
-    LambdaGrid,
     RandomStream,
     SmoothingFamily,
     ThreatModel,
     certified_radius_search,
     certify,
-    certify_practical,
     clopper_pearson_lower,
     cohen_bound,
     cohen_radius,
-    discrepancy_gaussian_closed_form,
     dual_lower_bound,
     gaussian_bilateral_radius,
-    std_normal_quantile,
     teng_bound,
     teng_radius,
 )
@@ -139,15 +135,14 @@ class TestTengClosedForms:
         assert teng_bound(min(p0 + 0.005, 1.0), 1.0, r1) >= teng_bound(p0, 1.0, r1) - 1e-12
 
     def test_dual_engine_agrees_with_teng(self):
-        # the Laplacian closed-form D plugged into the grid maximization
+        # the Laplacian closed-form D plugged into a grid maximization
         # reproduces the piecewise bound up to the grid gap
         from smoothcert import discrepancy_laplace_closed_form
 
-        grid = LambdaGrid(1e-2, 1e4, 2000)
         for p0, r in [(0.99, 0.5), (0.6, 1.0), (0.8, 0.3)]:
             best = max(
                 float(l) * p0 - discrepancy_laplace_closed_form(1.0, r, float(l))
-                for l in grid.values()
+                for l in np.geomspace(1e-2, 1e4, 2000)
             )
             # branch-1 optima sit at a kink of D, so the grid loss is
             # first-order in the step: lam* (g - 1) max(p0, 1-p0)
@@ -190,7 +185,7 @@ class TestCertifyPipeline:
     def test_constant_one_certifies(self):
         fam = SmoothingFamily.gaussian(4, 1.0)
         cert = certify(
-            Constant(1), np.zeros(4), fam, ThreatModel("l2", 0.5), LambdaGrid(),
+            Constant(1), np.zeros(4), fam, ThreatModel("l2", 0.5),
             n1=1000, n2=50_000, budget=ConfidenceBudget.split(0.002), rng=RandomStream(1),
         )
         assert abs(cert.p0_lower - 0.001 ** (1.0 / 1000.0)) <= 1e-12
@@ -200,18 +195,20 @@ class TestCertifyPipeline:
     def test_constant_zero_abstains(self):
         fam = SmoothingFamily.gaussian(4, 1.0)
         cert = certify(
-            Constant(0), np.zeros(4), fam, ThreatModel("l2", 0.5), LambdaGrid(),
+            Constant(0), np.zeros(4), fam, ThreatModel("l2", 0.5),
             n1=500, n2=1000, budget=ConfidenceBudget.split(0.002), rng=RandomStream(2),
         )
         assert cert.status == ABSTAIN and not cert.certified
         assert cert.p0_lower == 0.0
+        payload = cert.to_dict()
+        assert (payload["d_mean"], payload["epsilon"], payload["std_error"]) == (None, None, None)
 
     def test_never_certifies_at_half(self):
         # halfspace through x0 gives p0 = 1/2 exactly
         fam = SmoothingFamily.gaussian(3, 1.0)
         clf = Halfspace(np.array([1.0, 0.0, 0.0]), 0.0)
         cert = certify(
-            clf, np.zeros(3), fam, ThreatModel("l2", 0.25), LambdaGrid(),
+            clf, np.zeros(3), fam, ThreatModel("l2", 0.25),
             n1=2000, n2=5000, budget=ConfidenceBudget.split(0.01), rng=RandomStream(3),
         )
         assert not cert.certified
@@ -219,82 +216,38 @@ class TestCertifyPipeline:
     def test_gaussian_consistency_with_cohen(self):
         # the dual engine reproduces the closed form applied to p0_lower
         fam = SmoothingFamily.gaussian(5, 1.0)
-        grid = LambdaGrid()
         cert = certify(
-            Constant(1), np.zeros(5), fam, ThreatModel("l2", 0.5), grid,
+            Constant(1), np.zeros(5), fam, ThreatModel("l2", 0.5),
             n1=100_000, n2=400_000, budget=ConfidenceBudget.split(0.002),
             rng=RandomStream(4),
         )
         target = cohen_bound(cert.p0_lower, 1.0, 0.5)
-        grid_loss = target - max(
-            float(l) * cert.p0_lower - discrepancy_gaussian_closed_form(1.0, 0.5, float(l))
-            for l in grid.values()
-        )
-        tol = cert.dual.epsilon + 3.0 * cert.dual.std_error + grid_loss
+        tol = cert.dual.epsilon + 3.0 * cert.dual.std_error
         assert abs(cert.bound - target) <= tol
 
     def test_serialization_roundtrip(self):
         fam = SmoothingFamily.gaussian(3, 1.0)
         cert = certify(
-            Constant(1), np.zeros(3), fam, ThreatModel("l2", 0.2), LambdaGrid(),
+            Constant(1), np.zeros(3), fam, ThreatModel("l2", 0.2),
             n1=200, n2=2000, budget=ConfidenceBudget.split(0.01), rng=RandomStream(5),
         )
         payload = cert.to_dict()
         assert payload["certified"] is True
         assert payload["sample_counts"] == {"n1": 200, "n2": 2000}
         assert payload["family"]["variant"] == "gaussian"
+        # the bound decomposes into the reported terms
+        assert payload["std_error"] == cert.dual.std_error
+        lam, p0 = payload["lambda_star"], payload["p0_lower"]
+        assert abs(payload["bound"] - (lam * p0 - payload["d_mean"] - payload["epsilon"])) <= 1e-12
 
     def test_dimension_mismatch_aborts(self):
         fam = SmoothingFamily.gaussian(3, 1.0)
         clf = Halfspace(np.array([1.0, 0.0]), 0.0)  # d=2 classifier
         with pytest.raises(DomainError):
             certify(
-                clf, np.zeros(3), fam, ThreatModel("l2", 0.2), LambdaGrid(),
+                clf, np.zeros(3), fam, ThreatModel("l2", 0.2),
                 n1=100, n2=100, budget=ConfidenceBudget.split(0.01), rng=RandomStream(6),
             )
-
-
-class TestCertifyPractical:
-    @staticmethod
-    def _p0_halfspace(fam_dim: int, sigma: float, p0: float) -> Halfspace:
-        # f(x0 + z) = 1 iff w.z >= c with c chosen so P = p0 at x0 = 0
-        w = np.zeros(fam_dim)
-        w[0] = 1.0
-        return Halfspace(w, -sigma * std_normal_quantile(p0))
-
-    def test_reproducible(self):
-        fam = SmoothingFamily.gaussian(4, 1.0)
-        args = (
-            Constant(1), np.zeros(4), fam, ThreatModel("l2", 0.3), LambdaGrid(),
-            (200, 2000), (1000, 20_000), ConfidenceBudget.split(0.002),
-        )
-        a = certify_practical(*args, rng=RandomStream(7))
-        b = certify_practical(*args, rng=RandomStream(7))
-        assert a.bound == b.bound and a.lambda_star == b.lambda_star
-
-    def test_degenerate_pilot_still_valid(self):
-        fam = SmoothingFamily.gaussian(4, 1.0)
-        cert = certify_practical(
-            Constant(1), np.zeros(4), fam, ThreatModel("l2", 0.5), LambdaGrid(),
-            (10, 10), (1000, 50_000), ConfidenceBudget.split(0.002), RandomStream(8),
-        )
-        # validity: never exceeds the closed form at the same p0
-        assert cert.bound <= cohen_bound(cert.p0_lower, 1.0, 0.5) + 1e-6
-
-    def test_pilot_lambda_near_analytic_optimum(self):
-        p0, sigma, r = 0.9, 1.0, 0.5
-        fam = SmoothingFamily.gaussian(6, sigma)
-        clf = self._p0_halfspace(6, sigma, p0)
-        cert = certify_practical(
-            clf, np.zeros(6), fam, ThreatModel("l2", r), LambdaGrid(),
-            (10_000, 100_000), (10_000, 100_000),
-            ConfidenceBudget.split(0.002), RandomStream(9),
-        )
-        lam_analytic = math.exp(
-            (2.0 * sigma * r * std_normal_quantile(p0) - r * r) / (2.0 * sigma**2)
-        )
-        step = (1e4 / 1e-2) ** (1.0 / 199.0)
-        assert lam_analytic / step <= cert.lambda_star <= lam_analytic * step
 
 
 class TestRadiusSearch:
@@ -302,7 +255,7 @@ class TestRadiusSearch:
         fam = SmoothingFamily.gaussian(4, 1.0)
         radius, cert = certified_radius_search(
             Constant(1), np.zeros(4), fam, "l2", r_max=4.0,
-            grid=LambdaGrid(), n1=2000, n2=50_000,
+            n1=2000, n2=50_000,
             budget=ConfidenceBudget.split(0.002), rng=RandomStream(10),
         )
         assert cert is not None and cert.certified
@@ -328,9 +281,9 @@ class TestRadiusSearch:
 
         monkeypatch.setattr(discrepancy, "sample_chunks", counting)
         fam = SmoothingFamily.l2_power_tail(6, 2.0, 1.0)
-        grid, n2, budget, rng = LambdaGrid(), 20_000, ConfidenceBudget.split(0.002), RandomStream(13)
+        n2, budget, rng = 20_000, ConfidenceBudget.split(0.002), RandomStream(13)
         radius, cert = certified_radius_search(
-            Constant(1), np.zeros(6), fam, "l2", r_max=4.0, grid=grid, n1=2000, n2=n2,
+            Constant(1), np.zeros(6), fam, "l2", r_max=4.0, n1=2000, n2=n2,
             budget=budget, rng=rng, workers=workers,
         )
         assert sum(drawn) == n2
@@ -341,7 +294,7 @@ class TestRadiusSearch:
         for _ in range(12):
             mid = 0.5 * (lo + hi)
             dual = dual_lower_bound(
-                cert.p0_lower, fam, ThreatModel("l2", mid), grid, n2, budget.alpha_mc / 12,
+                cert.p0_lower, fam, ThreatModel("l2", mid), n2, budget.alpha_mc / 12,
                 rng.child(1), workers=workers,
             )
             if min(dual.bound, 1.0) > 0.5:
@@ -358,7 +311,7 @@ class TestRadiusSearch:
         fam = SmoothingFamily.gaussian(3, 1.0)
         radius, cert = certified_radius_search(
             Constant(1), np.zeros(3), fam, "l2", r_max=4.0,
-            grid=LambdaGrid(), n1=1000, n2=20_000,
+            n1=1000, n2=20_000,
             budget=ConfidenceBudget.split(0.002), rng=RandomStream(11), r_step=0.05,
         )
         assert cert is not None
@@ -368,7 +321,7 @@ class TestRadiusSearch:
         fam = SmoothingFamily.gaussian(3, 1.0)
         radius, cert = certified_radius_search(
             Constant(0), np.zeros(3), fam, "l2", r_max=2.0,
-            grid=LambdaGrid(), n1=500, n2=500,
+            n1=500, n2=500,
             budget=ConfidenceBudget.split(0.01), rng=RandomStream(12),
         )
         assert radius == 0.0 and cert is None

@@ -24,7 +24,6 @@ def certify_config(out, seed=7, **overrides):
         "out": str(out),
         "family": {"variant": "gaussian", "dim": 4, "sigma": 1.0},
         "threat": {"norm": "l2", "radius": 0.5},
-        "lambda_grid": {"start": 1e-2, "end": 1e4, "count": 120},
         "counts": {"n1": 1000, "n2": 20000},
         "budget": {"alpha_total": 0.002},
         "classifier": {"kind": "constant", "label": 1},
@@ -113,6 +112,30 @@ class TestConfigValidation:
         del cfg["classifier"]
         assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 2
 
+    @pytest.mark.parametrize("probe", [
+        "missing family", "dim not a number", "sigma a string", "n1 not a number",
+        "missing inputs file", "nan in an input", "out not a path",
+    ])
+    def test_malformed_config_is_a_one_line_config_error(self, tmp_path, capsys, probe):
+        cfg = certify_config(tmp_path / "o")
+        if probe == "missing family":
+            del cfg["family"]
+        elif probe == "dim not a number":
+            cfg["family"]["dim"] = "two"
+        elif probe == "sigma a string":
+            cfg["family"]["sigma"] = "1"
+        elif probe == "n1 not a number":
+            cfg["counts"]["n1"] = "many"
+        elif probe == "missing inputs file":
+            cfg["inputs"] = {"file": str(tmp_path / "absent.csv")}
+        elif probe == "nan in an input":
+            cfg["inputs"]["vectors"][0][2] = float("nan")
+        else:
+            cfg["out"] = 3
+        assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
 
 class TestCertifyCommand:
     def test_end_to_end_and_reproducible(self, tmp_path):
@@ -140,20 +163,21 @@ class TestCertifyCommand:
         assert result["config"]["seed"] == 9
         assert result["config"]["counts"]["n1"] == 500
 
-    def test_practical_mode(self, tmp_path):
-        out = tmp_path / "run"
-        cfg = certify_config(out, counts={"n1": 1000, "n2": 20000, "pilot_n1": 200, "pilot_n2": 2000})
-        assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 0
-        result = json.loads((out / "result.json").read_text())
-        assert result["certificates"][0]["certified"] is True
-
     def test_trace_export(self, tmp_path):
+        # the optimum's decomposition goes to result.json; abstentions carry nulls
         out = tmp_path / "run"
-        cfg = certify_config(out, trace=True)
+        cfg = certify_config(out, inputs={"vectors": [[0.0] * 4]})
+        cfg["classifier"] = {"kind": "ball", "norm": "l2", "center": [0.0] * 4, "radius": 3.0}
+        cfg["inputs"]["vectors"].append([50.0, 0.0, 0.0, 0.0])
         assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 0
-        trace = (out / "trace_input0.csv").read_text().splitlines()
-        assert trace[1] == "lambda,d_mean,epsilon,bound"
-        assert len(trace) == 2 + 120
+        certified, abstained = json.loads((out / "result.json").read_text())["certificates"]
+        assert certified["certified"] is True and abstained["status"] == "abstain"
+        decomposed = (certified["lambda_star"] * certified["p0_lower"]
+                      - certified["d_mean"] - certified["epsilon"])
+        assert abs(certified["bound"] - decomposed) <= 1e-12
+        assert certified["std_error"] > 0.0
+        assert [abstained[k] for k in ("d_mean", "epsilon", "std_error")] == [None, None, None]
+        assert not list(out.glob("trace_*.csv"))
 
     def test_transport_error_exit_code(self, tmp_path):
         out = tmp_path / "run"
@@ -257,7 +281,6 @@ class TestRadiusSearchCommand:
             "search": {"norm": "l2", "r_max": 3.0, "iterations": 8, "r_step": 0.05},
             "counts": {"n1": 1000, "n2": 10000},
             "budget": {"alpha_total": 0.002},
-            "lambda_grid": {"count": 80},
             "classifier": {"kind": "constant", "label": 1},
             "inputs": {"vectors": [[0.0, 0.0, 0.0]]},
         }

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from smoothcert import (
     DomainError,
-    LambdaGrid,
     QuadratureGrid,
     RandomStream,
     SmoothingFamily,
@@ -226,95 +225,48 @@ class TestQuadrature:
 
 class TestDualLowerBound:
     def test_zero_radius_recovers_p0(self):
+        # every ratio is exactly 1, so the empirical objective
+        # lam (p0 - eps) - (lam - 1)_+ peaks at lam* = 1 with D_hat = 0
         fam = SmoothingFamily.gaussian(4, 1.0)
-        grid = LambdaGrid(1e-2, 1e4, 200)
-        res = dual_lower_bound(0.8, fam, ThreatModel("l2", 0.0), grid, 20_000, 1e-3, RandomStream(7))
-        # bound = max over grid of lam*p0 - (lam-1)_+ - eps(lam); the
-        # analytic max (at lam=1 exactly) is p0, reachable up to the
-        # grid gap and the epsilon haircut
-        lams = grid.values()
-        eps = [hoeffding_epsilon(20_000, float(l), 1e-3 / 200) for l in lams]
-        analytic = max(
-            float(l) * 0.8 - max(float(l) - 1.0, 0.0) - e for l, e in zip(lams, eps)
-        )
-        assert abs(res.bound - analytic) <= 1e-12
-        grid_step = (1e4 / 1e-2) ** (1.0 / 199.0)
-        eps_at_one = hoeffding_epsilon(20_000, 1.0, 1e-3 / 200)
-        assert res.bound >= 0.8 / grid_step - eps_at_one
+        res = dual_lower_bound(0.8, fam, ThreatModel("l2", 0.0), 20_000, 1e-3, RandomStream(7))
+        assert res.lambda_star == 1.0 and res.d_mean == 0.0
+        assert res.bound == 0.8 - hoeffding_epsilon(20_000, 1.0, 1e-3)
 
     def test_gaussian_recovery(self):
         fam = SmoothingFamily.gaussian(6, 1.0)
-        grid = LambdaGrid()
-        res = dual_lower_bound(0.9, fam, ThreatModel("l2", 0.5), grid, 200_000, 1e-3, RandomStream(8))
+        res = dual_lower_bound(0.9, fam, ThreatModel("l2", 0.5), 200_000, 1e-3, RandomStream(8))
         from smoothcert import cohen_bound
 
         target = cohen_bound(0.9, 1.0, 0.5)
-        grid_loss = target - max(
-            float(l) * 0.9 - discrepancy_gaussian_closed_form(1.0, 0.5, float(l))
-            for l in grid.values()
-        )
-        tol = res.epsilon + 3.0 * res.std_error + grid_loss
+        tol = res.epsilon + 3.0 * res.std_error
         assert res.bound >= target - tol
         assert res.bound <= target + 3.0 * res.std_error + 1e-9
 
     def test_p0_half_never_certifies(self):
         fam = SmoothingFamily.gaussian(4, 1.0)
-        res = dual_lower_bound(
-            0.5, fam, ThreatModel("l2", 0.25), LambdaGrid(), 50_000, 1e-3, RandomStream(9)
-        )
+        res = dual_lower_bound(0.5, fam, ThreatModel("l2", 0.25), 50_000, 1e-3, RandomStream(9))
         assert res.bound < 0.5
 
     def test_equivalence_bit_exact(self):
-        grid = LambdaGrid()
         for d in (4, 16):
             fam = SmoothingFamily.gaussian(d, 1.0)
-            a = dual_lower_bound(0.9, fam, ThreatModel("linf", 0.1), grid, 50_000, 1e-3, RandomStream(10))
+            a = dual_lower_bound(0.9, fam, ThreatModel("linf", 0.1), 50_000, 1e-3, RandomStream(10))
             b = dual_lower_bound(
-                0.9, fam, ThreatModel("l2", math.sqrt(d) * 0.1), grid, 50_000, 1e-3, RandomStream(10)
+                0.9, fam, ThreatModel("l2", math.sqrt(d) * 0.1), 50_000, 1e-3, RandomStream(10)
             )
             assert a.bound == b.bound and a.lambda_star == b.lambda_star
             assert all(x.bound == y.bound for x, y in zip(a.trace, b.trace))
 
-    def test_trace_monotone_mean(self):
-        # shared samples make the estimated D nondecreasing in lambda
-        fam = SmoothingFamily.gaussian(3, 1.0)
-        res = dual_lower_bound(
-            0.8, fam, ThreatModel("l2", 0.5), LambdaGrid(1e-2, 1e2, 100), 20_000, 1e-2, RandomStream(11)
-        )
-        means = [pt.d_mean for pt in res.trace]
-        assert all(b >= a - 1e-12 for a, b in zip(means, means[1:]))
-        assert all(0.0 <= pt.d_mean <= pt.lam for pt in res.trace)
-
-    def test_refinement_stays_valid(self):
-        fam = SmoothingFamily.gaussian(4, 1.0)
-        res = dual_lower_bound(
-            0.9, fam, ThreatModel("l2", 0.5), LambdaGrid(1e-2, 1e4, 50),
-            100_000, 1e-3, RandomStream(12), refine_steps=8,
-        )
-        from smoothcert import cohen_bound
-
-        # still a lower bound up to MC noise
-        assert res.bound <= cohen_bound(0.9, 1.0, 0.5) + 3.0 * res.std_error + 1e-9
-        assert len(res.trace) == 50 + 8
-
-    def test_trace_csv(self, tmp_path):
-        fam = SmoothingFamily.gaussian(3, 1.0)
-        res = dual_lower_bound(
-            0.8, fam, ThreatModel("l2", 0.2), LambdaGrid(0.1, 10, 20), 5_000, 1e-2, RandomStream(13)
-        )
-        path = tmp_path / "trace.csv"
-        res.trace_to_csv(path, header_lines=("test=1",))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# test=1"
-        assert lines[1] == "lambda,d_mean,epsilon,bound"
-        assert len(lines) == 2 + 20
-
     def test_domain(self):
         fam = SmoothingFamily.gaussian(3, 1.0)
         with pytest.raises(DomainError):
-            dual_lower_bound(0.0, fam, ThreatModel("l2", 0.1), LambdaGrid(), 100, 1e-3, RandomStream(14))
+            dual_lower_bound(0.0, fam, ThreatModel("l2", 0.1), 100, 1e-3, RandomStream(14))
         with pytest.raises(DomainError):
-            dual_lower_bound(1.5, fam, ThreatModel("l2", 0.1), LambdaGrid(), 100, 1e-3, RandomStream(14))
+            dual_lower_bound(1.5, fam, ThreatModel("l2", 0.1), 100, 1e-3, RandomStream(14))
+        # the one-sided DKW band needs alpha <= 1/2
+        with pytest.raises(DomainError):
+            dual_lower_bound(0.9, fam, ThreatModel("l2", 0.1), 100, 0.51, RandomStream(14))
+        dual_lower_bound(0.9, fam, ThreatModel("l2", 0.1), 100, 0.5, RandomStream(14))
 
 
 def _direct_d_mean(ratios: np.ndarray, lam: float) -> float:
@@ -330,55 +282,53 @@ def _drawn_ratios(fam, threat, n, rng, workers):
     return np.concatenate([np.exp(log_ratio(s, wd.step)) for s in stats])
 
 
+def _objective(ratios: np.ndarray, lams: np.ndarray, p0: float, eps: float) -> np.ndarray:
+    # lam p0 - D_hat(lam) - lam eps at each lam, D_hat by direct sums
+    d_hat = np.array([_direct_d_mean(ratios, float(lam)) for lam in lams])
+    return lams * p0 - d_hat - lams * eps
+
+
 class TestSortedSweep:
     def test_every_trace_point_matches_direct_sums(self):
         fam = SmoothingFamily.l2_power_tail(8, 2.0, 1.0)
         threat = ThreatModel("l2", 0.4)
-        res = dual_lower_bound(
-            0.9, fam, threat, LambdaGrid(), 30_000, 1e-3, RandomStream(40),
-            workers=2, refine_steps=8,
-        )
+        res = dual_lower_bound(0.9, fam, threat, 30_000, 1e-3, RandomStream(40), workers=2)
         ratios = _drawn_ratios(fam, threat, 30_000, RandomStream(40), 2)
-        assert len(res.trace) == 200 + 8
-        for pt in res.trace:
-            direct = _direct_d_mean(ratios, pt.lam)
-            assert abs(pt.d_mean - direct) <= 1e-12 * direct
+        (pt,) = res.trace
+        assert (pt.lam, pt.d_mean, pt.epsilon, pt.bound) == (
+            res.lambda_star, res.d_mean, res.epsilon, res.bound
+        )
+        direct = _direct_d_mean(ratios, pt.lam)
+        assert abs(pt.d_mean - direct) <= 1e-12 * direct
+        assert pt.epsilon == hoeffding_epsilon(30_000, pt.lam, 1e-3)
 
     def test_lambda_equal_to_a_ratio(self):
-        # a ratio equal to lambda contributes 0; at the smallest ratio D_hat is exactly 0
+        # lambda* is the j-th smallest ratio, j = ceil(n (p0 - eps)); a
+        # ratio equal to lambda contributes 0, so at j = 1 D_hat is exactly 0
         fam = SmoothingFamily.gaussian(4, 1.0)
         threat = ThreatModel("l2", 0.5)
-        ratios = np.sort(_drawn_ratios(fam, threat, 5_000, RandomStream(41), 1))
-        for lam in (float(ratios[0]), float(ratios[2_500])):
-            res = dual_lower_bound(
-                0.9, fam, threat, LambdaGrid(lam, lam, 1), 5_000, 1e-3, RandomStream(41)
-            )
-            assert res.trace[0].lam == lam
-            direct = _direct_d_mean(ratios, lam)
-            assert abs(res.trace[0].d_mean - direct) <= 1e-12 * direct
+        n, alpha = 5_000, 1e-3
+        eps = hoeffding_epsilon(n, 1.0, alpha)
+        ratios = np.sort(_drawn_ratios(fam, threat, n, RandomStream(41), 1))
+        for p0, j in ((eps + 0.5 / n, 1), (0.9, math.ceil(n * (0.9 - eps)))):
+            res = dual_lower_bound(p0, fam, threat, n, alpha, RandomStream(41))
+            assert res.lambda_star == ratios[j - 1]
+            direct = _direct_d_mean(ratios, res.lambda_star)
+            assert abs(res.d_mean - direct) <= 1e-12 * direct
+            assert (res.d_mean == 0.0) == (j == 1)
 
     def test_zero_radius(self):
-        # every ratio is exactly 1, so D_hat(lambda) = (lambda - 1)_+
+        # every ratio is exactly 1, so D_hat(lambda) = (lambda - 1)_+ and lambda* = 1
         fam = SmoothingFamily.l2_power_tail(5, 1.0, 1.0)
-        res = dual_lower_bound(
-            0.8, fam, ThreatModel("l2", 0.0), LambdaGrid(), 10_000, 1e-3, RandomStream(42),
-            refine_steps=4,
-        )
-        for pt in res.trace:
-            expected = max(pt.lam - 1.0, 0.0)
-            assert abs(pt.d_mean - expected) <= 1e-12 * expected
-        at_one = dual_lower_bound(
-            0.8, fam, ThreatModel("l2", 0.0), LambdaGrid(1.0, 1.0, 1), 10_000, 1e-3,
-            RandomStream(42),
-        )
-        assert at_one.trace[0].d_mean == 0.0
+        res = dual_lower_bound(0.8, fam, ThreatModel("l2", 0.0), 10_000, 1e-3, RandomStream(42))
+        assert res.lambda_star == 1.0
+        assert res.trace[0].d_mean == 0.0
 
     def test_repeatable(self):
         fam = SmoothingFamily.laplacian(3, 1.0)
         a, b = (
             dual_lower_bound(
-                0.9, fam, ThreatModel("l1", 0.5), LambdaGrid(), 20_000, 1e-3, RandomStream(43),
-                workers=2, refine_steps=6,
+                0.9, fam, ThreatModel("l1", 0.5), 20_000, 1e-3, RandomStream(43), workers=2
             )
             for _ in range(2)
         )
@@ -392,9 +342,57 @@ class TestSortedSweep:
         stats = noise_statistics(fam, "L2Boundary", 1_000, RandomStream(44), 2)
         with pytest.raises(DomainError):
             dual_lower_bound(
-                0.9, fam, ThreatModel("l2", 0.1), LambdaGrid(), 2_000, 1e-3, RandomStream(44),
-                stats=stats,
+                0.9, fam, ThreatModel("l2", 0.1), 2_000, 1e-3, RandomStream(44), stats=stats
             )
+
+
+class TestExactMaximizer:
+    @pytest.mark.parametrize("norm, fam, r", [
+        ("l2", SmoothingFamily.gaussian(4, 1.0), 0.5),
+        ("l2", SmoothingFamily.l2_power_tail(6, 2.0, 1.0), 0.8),
+        ("linf", SmoothingFamily.mixed_norm(5, 1.0, 1.0), 0.2),
+    ], ids=["gaussian", "l2_power_tail", "mixed_norm"])
+    def test_beats_every_lambda_and_is_the_smallest_maximizer(self, norm, fam, r):
+        n, alpha, p0 = 3_000, 1e-3, 0.93
+        threat = ThreatModel(norm, r)
+        res = dual_lower_bound(p0, fam, threat, n, alpha, RandomStream(49))
+        ratios = _drawn_ratios(fam, threat, n, RandomStream(49), 1)
+        eps = hoeffding_epsilon(n, 1.0, alpha)
+        lams = np.geomspace(1e-3, 1e3, 2_000)
+        assert np.all(res.bound >= _objective(ratios, lams, p0, eps) - 1e-12)
+        # every smaller lambda, the grid's and the ratio just below lambda*, is strictly worse
+        below = np.append(lams[lams < res.lambda_star], ratios[ratios < res.lambda_star].max())
+        assert np.all(_objective(ratios, below, p0, eps) < res.bound - 1e-12)
+
+    def test_p0_within_epsilon_gives_zero(self):
+        fam = SmoothingFamily.gaussian(3, 1.0)
+        eps = hoeffding_epsilon(3_000, 1.0, 1e-3)
+        res = dual_lower_bound(eps, fam, ThreatModel("l2", 0.3), 3_000, 1e-3, RandomStream(50))
+        assert (res.bound, res.lambda_star, res.d_mean, res.epsilon) == (0.0, 0.0, 0.0, 0.0)
+
+
+class TestDKWBand:
+    def test_simultaneous_coverage(self):
+        # D(lam) <= D_hat(lam) + lam eps must hold at every lambda at once
+        # in at least 1 - alpha of the repetitions (cf. acceptance criterion 6)
+        from smoothcert.discrepancy import log_ratio, noise_statistics
+
+        alpha, n, reps = 0.05, 2_000, 1_000
+        fam = SmoothingFamily.gaussian(4, 1.0)
+        wd = worst_delta(ThreatModel("l2", 1.0), fam)
+        lams = np.geomspace(1e-2, 1e2, 400)
+        true_d = np.array([discrepancy_gaussian_closed_form(1.0, 1.0, float(l)) for l in lams])
+        eps = hoeffding_epsilon(n, 1.0, alpha)
+        root = RandomStream(62)
+        covered = 0
+        for rep in range(reps):
+            (stats,) = noise_statistics(fam, wd.rationale, n, root.child(rep))
+            ratios = np.sort(np.exp(log_ratio(stats, wd.step)))
+            below = np.searchsorted(ratios, lams, side="left")
+            prefix = np.concatenate(([0.0], np.cumsum(ratios)))
+            d_hat = (below * lams - prefix[below]) / n
+            covered += bool(np.all(true_d <= d_hat + lams * eps + 1e-12))
+        assert covered / reps >= 1.0 - alpha
 
 
 # every supported (threat, family) pair, with k = 0 and k > 0 where the family has a power term
@@ -454,8 +452,7 @@ class TestShiftStatistics:
         stats = noise_statistics(fam, "L2Boundary", 1_000, RandomStream(47))
         with pytest.raises(DomainError):
             dual_lower_bound(
-                0.9, fam, ThreatModel("linf", 0.1), LambdaGrid(), 1_000, 1e-3, RandomStream(47),
-                stats=stats,
+                0.9, fam, ThreatModel("linf", 0.1), 1_000, 1e-3, RandomStream(47), stats=stats,
             )
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -476,7 +473,7 @@ class TestShiftStatistics:
         monkeypatch.setattr(certify, "dual_lower_bound", recording)
         fam, n2 = SmoothingFamily.mixed_norm(5, 1.0, 1.0), 3_001
         certified_radius_search(
-            Constant(1), np.zeros(5), fam, "linf", r_max=1.0, grid=LambdaGrid(), n1=1000,
+            Constant(1), np.zeros(5), fam, "linf", r_max=1.0, n1=1000,
             n2=n2, budget=ConfidenceBudget.split(0.002), rng=RandomStream(48), workers=workers,
         )
         assert len(seen) == 12 and all(s is seen[0] for s in seen)
@@ -484,19 +481,3 @@ class TestShiftStatistics:
         for s in seen[0]:
             assert len(s.columns) == 3
             assert all(c.ndim == 1 and c.size == s.n for c in s.columns)
-
-
-class TestLambdaGrid:
-    def test_values(self):
-        grid = LambdaGrid(0.01, 100.0, 5)
-        vals = grid.values()
-        assert len(vals) == 5
-        assert abs(vals[0] - 0.01) <= 1e-15 and abs(vals[-1] - 100.0) <= 1e-12
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            LambdaGrid(0.0, 1.0, 10)
-        with pytest.raises(DomainError):
-            LambdaGrid(2.0, 1.0, 10)
-        with pytest.raises(DomainError):
-            LambdaGrid(1.0, 2.0, 0)
