@@ -262,7 +262,6 @@ def certify(
     n2: int,
     budget: ConfidenceBudget,
     rng: RandomStream,
-    workers: int = 1,
     input_id: str = "x0",
 ) -> Certificate:
     """Certification of one input.
@@ -277,9 +276,7 @@ def certify(
     p0_lower = clopper_pearson_lower(evidence, budget.alpha_p0)
     if p0_lower <= 0.5:
         return _abstain_certificate(input_id, p0_lower, threat, family, budget, n1, n2)
-    dual = dual_lower_bound(
-        p0_lower, family, threat, n2, budget.alpha_mc, rng.child(1), workers=workers
-    )
+    dual = dual_lower_bound(p0_lower, family, threat, n2, budget.alpha_mc, rng.child(1))
     bound = min(dual.bound, 1.0)
     return Certificate(
         input_id=input_id,
@@ -308,15 +305,14 @@ def certified_radius_search(
     rng: RandomStream,
     iterations: int = 12,
     r_step: float | None = None,
-    workers: int = 1,
 ) -> tuple[float, Certificate | None]:
     """Largest certified radius by bisection on r in [0, r_max].
 
     The p0 bound is computed once (it does not depend on r) and the n2
-    noise rows are drawn once and reduced to their worst-shift
-    statistics (2 or 3 floats per row, see ``ShiftStatistics``), which
-    every probe reuses: only the radius along the ray changes, and a
-    probe costs O(n2). Every probe is a rigorous certificate at its own
+    noise rows are drawn once, from one stream, and reduced to one
+    ``ShiftStatistics`` (2 or 3 floats per row), which every probe
+    reuses: only the radius along the ray changes, and a probe costs
+    O(n2). Every probe is a rigorous certificate at its own
     radius with the MC budget split across all probes, so the reported
     radius (snapped down to ``r_step`` if given) was itself certified,
     not interpolated.
@@ -333,14 +329,14 @@ def certified_radius_search(
     alpha_probe = budget.alpha_mc / iterations
     dual_rng = rng.child(1)
     rationale = worst_delta(ThreatModel(norm=threat_norm, radius=r_max), family).rationale
-    stats = noise_statistics(family, rationale, n2, dual_rng, workers)
+    stats = noise_statistics(family, rationale, n2, dual_rng)
     lo, hi = 0.0, r_max
     best: Certificate | None = None
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         threat = ThreatModel(norm=threat_norm, radius=mid)
         dual = dual_lower_bound(
-            p0_lower, family, threat, n2, alpha_probe, dual_rng, workers=workers, stats=stats
+            p0_lower, family, threat, n2, alpha_probe, dual_rng, stats=stats
         )
         bound = min(dual.bound, 1.0)
         if bound > 0.5:

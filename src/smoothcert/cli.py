@@ -4,8 +4,10 @@ One JSON config document (file or stdin) drives every command; flags
 override top-level scalars. Parsing is strict: any unknown key is an
 error, never silently ignored. Every output file embeds the fully
 resolved configuration and the engine version, and reruns with an
-identical (config, seed, workers) triple produce byte-identical
-result.json files.
+identical (config, seed) pair produce byte-identical result.json files.
+Each Monte Carlo stage draws from one random stream, so ``workers``
+changes no result: it only sizes the thread pools that run the inputs
+of ``certify`` and the configurations of ``pareto``.
 
 Exit codes: 0 success, 1 verification checks failed, 2 config error,
 3 classifier transport error, 4 sampler abort.
@@ -63,9 +65,11 @@ from .lab import (
 )
 from .rng import RandomStream
 
-COMMANDS = ("certify", "radius", "sample", "pareto", "verify", "bench")
+COMMANDS = ("certify", "radius", "sample", "pareto", "verify")
 SEED_ENV_VAR = "SMOOTHCERT_SEED"
 RADIUS_CAP = 1e12
+MAX_COUNT = 10**9  # draws per stage
+MAX_WORKERS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +113,14 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: boo
             raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
         return int(value)
     return float(value)
+
+
+def _count(section: dict, key: str, where: str, default: int) -> int:
+    """section[key] as a sample count in [1, MAX_COUNT]."""
+    value = _number(section, key, where, default, integer=True)
+    if not 1 <= value <= MAX_COUNT:
+        raise ConfigError(f"{where}.{key} must be in [1, {MAX_COUNT}], got {value!r}")
+    return value
 
 
 def _vector(value, where: str) -> np.ndarray:
@@ -272,8 +284,7 @@ def _certificate_rows(certs: list[Certificate]) -> list[list]:
 def _counts(cfg: dict) -> tuple[int, int]:
     counts = cfg.get("counts", {})
     _strict(counts, {"n1", "n2"}, "counts")
-    return (_number(counts, "n1", "counts", 100_000, integer=True),
-            _number(counts, "n2", "counts", 100_000, integer=True))
+    return _count(counts, "n1", "counts", 100_000), _count(counts, "n2", "counts", 100_000)
 
 
 def _run_certify(cfg: dict, out: Path) -> int:
@@ -290,7 +301,7 @@ def _run_certify(cfg: dict, out: Path) -> int:
         idx, x0 = idx_x0
         return certify(
             classifier, x0, family, threat, n1, n2, budget, root.child(idx),
-            workers=workers, input_id=f"input{idx}",
+            input_id=f"input{idx}",
         )
 
     try:
@@ -370,7 +381,6 @@ def _run_radius(cfg: dict, out: Path) -> int:
             RandomStream(cfg["seed"]),
             iterations=_number(search, "iterations", "search", 12, integer=True),
             r_step=_number(search, "r_step", "search", None),
-            workers=cfg["workers"],
         )
     finally:
         if isinstance(classifier, ExternalClassifier):
@@ -393,7 +403,7 @@ def _run_radius(cfg: dict, out: Path) -> int:
 
 def _run_sample(cfg: dict, out: Path) -> int:
     family = parse_family(_require(cfg, "family", "config"))
-    n = _number(cfg, "n", "config", 1000, integer=True)
+    n = _count(cfg, "n", "config", 1000)
     batch = sample(family, n, RandomStream(cfg["seed"]))
     batch.to_csv(out / "samples.csv")
     body: dict = {
@@ -419,7 +429,7 @@ def _run_pareto(cfg: dict, out: Path) -> int:
     section = cfg.get("pareto", {})
     _strict(section, {"dim", "n", "truth", "threat", "grids", "x0"}, "pareto")
     dim = _number(section, "dim", "pareto", 5, integer=True)
-    n = _number(section, "n", "pareto", 100_000, integer=True)
+    n = _count(section, "n", "pareto", 100_000)
     truth = parse_classifier(section.get("truth", {"kind": "ball", "norm": "l2",
                                                    "center": [0.0] * dim, "radius": 0.65}),
                              where="pareto.truth")
@@ -483,7 +493,7 @@ def _run_pareto(cfg: dict, out: Path) -> int:
 def _run_verify(cfg: dict, out: Path) -> int:
     section = cfg.get("verify", {})
     _strict(section, {"n", "n_radial", "n_angular"}, "verify")
-    n = _number(section, "n", "verify", 100_000, integer=True)
+    n = _count(section, "n", "verify", 100_000)
     quad = QuadratureGrid(
         n_radial=_number(section, "n_radial", "verify", 768, integer=True),
         n_angular=_number(section, "n_angular", "verify", 1280, integer=True),
@@ -552,36 +562,12 @@ def _run_verify(cfg: dict, out: Path) -> int:
     return 0 if all(checks.values()) else 1
 
 
-def _run_bench(cfg: dict, out: Path) -> int:
-    import time
-
-    n = _number(cfg, "n", "config", 100_000, integer=True)
-    family = parse_family(cfg.get("family", {"variant": "gaussian", "dim": 16, "sigma": 1.0}))
-    rng = RandomStream(cfg["seed"])
-    t0 = time.perf_counter()
-    batch = sample(family, n, rng)
-    t_sample = time.perf_counter() - t0
-    checksum = float(np.abs(batch.points).sum())
-    # Timings are wall-clock and inherently non-deterministic, so they
-    # go to a side file; result.json stays byte-identical across reruns.
-    _write_csv(out / "timings.csv", cfg,
-               ["stage", "seconds", "throughput_per_s"],
-               [["sample", t_sample, n / t_sample]])
-    _write_json(out / "result.json", _result_payload(cfg, {
-        "n": n,
-        "abs_sum_checksum": checksum,
-    }))
-    _write_csv(out / "summary.csv", cfg, ["n", "abs_sum_checksum"], [[n, checksum]])
-    return 0
-
-
 _RUNNERS = {
     "certify": _run_certify,
     "radius": _run_radius,
     "sample": _run_sample,
     "pareto": _run_pareto,
     "verify": _run_verify,
-    "bench": _run_bench,
 }
 
 _TOP_LEVEL_KEYS = {
@@ -650,10 +636,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     cfg.setdefault("out", "smoothcert-out")
     if args.workers is not None:
         cfg["workers"] = args.workers
-    cfg.setdefault("workers", os.cpu_count() or 1)
+    cfg.setdefault("workers", min(os.cpu_count() or 1, MAX_WORKERS))
     cfg["workers"] = _number(cfg, "workers", "config", integer=True)
-    if cfg["workers"] < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg['workers']}")
+    if not 1 <= cfg["workers"] <= MAX_WORKERS:
+        raise ConfigError(f"workers must be in [1, {MAX_WORKERS}], got {cfg['workers']}")
 
     for name, path in (("n1", ("counts", "n1")), ("n2", ("counts", "n2")),
                        ("alpha", ("budget", "alpha_total"))):

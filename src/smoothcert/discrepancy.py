@@ -20,7 +20,7 @@ analytically per (threat, family) pair.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,79 +288,31 @@ def hoeffding_epsilon(n: int, lam: float, alpha: float) -> float:
 # Monte Carlo estimator
 
 
-def _partition_counts(n: int, workers: int) -> list[int]:
-    base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
-
-
-def noise_partitions(
-    family: SmoothingFamily, n: int, rng: RandomStream, workers: int = 1
-) -> list[Iterator[np.ndarray]]:
-    """pi_0 draws for the Monte Carlo stage, one block stream per worker.
-
-    Worker i consumes stream ``rng.child(i)`` in ``sample_chunks``
-    blocks, so the draws are reproducible for a fixed (seed, worker
-    count) partition. The streams are lazy, so each block can be
-    reduced and freed as it is drawn (see ``noise_statistics``).
-    """
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    return [
-        sample_chunks(family, m, rng.child(i))
-        for i, m in enumerate(_partition_counts(n, workers))
-        if m > 0
-    ]
-
-
 def noise_statistics(
-    family: SmoothingFamily, rationale: str, n: int, rng: RandomStream, workers: int = 1
-) -> list[ShiftStatistics]:
-    """The draws of ``noise_partitions`` reduced to ``ShiftStatistics``.
+    family: SmoothingFamily, rationale: str, n: int, rng: RandomStream
+) -> ShiftStatistics:
+    """n pi_0 draws from ``rng.child(0)`` reduced to ``ShiftStatistics``.
 
-    Each block is reduced as it is drawn, so no n x d array outlives
-    its block; the result holds one ``ShiftStatistics`` per worker.
+    The draws come in ``sample_chunks`` blocks from one stream, so they
+    depend only on (family, n, rng). Each block is reduced as it is
+    drawn, so no n x d array outlives its block.
     """
-    out: list[ShiftStatistics] = []
-    for blocks in noise_partitions(family, n, rng, workers):
-        reduced = [shift_statistics(family, rationale, block) for block in blocks]
-        columns = tuple(np.concatenate(c) for c in zip(*(s.columns for s in reduced)))
-        out.append(ShiftStatistics(family=family, rationale=rationale, columns=columns))
-    return out
+    reduced = [
+        shift_statistics(family, rationale, block)
+        for block in sample_chunks(family, n, rng.child(0))
+    ]
+    columns = tuple(np.concatenate(c) for c in zip(*(s.columns for s in reduced)))
+    return ShiftStatistics(family=family, rationale=rationale, columns=columns)
 
 
-def _ratio_partitions(
-    family: SmoothingFamily,
-    delta: np.ndarray,
-    draws: Iterable[Iterable[np.ndarray]],
-) -> list[np.ndarray]:
-    """Density ratios pi_delta/pi_0 at the given pi_0 draws, one array per worker."""
-    parts: list[np.ndarray] = []
-    with np.errstate(over="ignore", divide="ignore"):
-        for blocks in draws:
-            chunks = [np.exp(_log_ratio_batch(family, block, delta)) for block in blocks]
-            parts.append(np.concatenate(chunks) if len(chunks) > 1 else chunks[0])
-    return parts
-
-
-def _estimate_from_parts(
-    parts: list[np.ndarray], n: int, lam: float, alpha: float
-) -> DiscrepancyEstimate:
-    """Mean and standard error of (lambda - ratio)_+ over all partitions.
-
-    Partial sums are taken per partition and combined with math.fsum in
-    partition order, so the reduction is deterministic for a fixed
-    partition layout.
-    """
-    sums: list[float] = []
-    sq_sums: list[float] = []
-    for arr in parts:
-        vals = np.subtract(lam, arr)
-        np.maximum(vals, 0.0, out=vals)
-        sums.append(float(vals.sum()))
-        np.multiply(vals, vals, out=vals)
-        sq_sums.append(float(vals.sum()))
-    mean = math.fsum(sums) / n
-    var = max(0.0, math.fsum(sq_sums) / n - mean * mean)
+def _estimate(ratios: np.ndarray, lam: float, alpha: float) -> DiscrepancyEstimate:
+    """Mean and standard error of (lambda - ratio)_+ over the ratios."""
+    n = ratios.size
+    vals = np.subtract(lam, ratios)
+    np.maximum(vals, 0.0, out=vals)
+    mean = float(vals.sum()) / n
+    np.multiply(vals, vals, out=vals)
+    var = max(0.0, float(vals.sum()) / n - mean * mean)
     return DiscrepancyEstimate(
         mean=min(mean, lam),
         epsilon=hoeffding_epsilon(n, lam, alpha),
@@ -378,11 +330,10 @@ def discrepancy_mc(
     n: int,
     alpha: float,
     rng: RandomStream,
-    workers: int = 1,
 ) -> DiscrepancyEstimate:
     """Monte Carlo estimate of D(lambda) at shift delta.
 
-    Draws n i.i.d. points from pi_0 and averages
+    Draws n i.i.d. points from pi_0 (stream ``rng.child(0)``) and averages
     (lambda - pi_delta(z)/pi_0(z))_+, whose summands are bounded in
     [0, lambda]; the one-sided Hoeffding half-width therefore covers
     the true D at level 1 - alpha.
@@ -396,8 +347,12 @@ def discrepancy_mc(
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (family.dim,):
         raise DomainError(f"delta must have length {family.dim}, got shape {delta.shape}")
-    parts = _ratio_partitions(family, delta, noise_partitions(family, n, rng, workers))
-    return _estimate_from_parts(parts, n, lam, alpha)
+    with np.errstate(over="ignore", divide="ignore"):
+        ratios = np.concatenate([
+            np.exp(_log_ratio_batch(family, block, delta))
+            for block in sample_chunks(family, n, rng.child(0))
+        ])
+    return _estimate(ratios, lam, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -605,8 +560,7 @@ def dual_lower_bound(
     n: int,
     alpha_mc: float,
     rng: RandomStream,
-    workers: int = 1,
-    stats: Sequence[ShiftStatistics] | None = None,
+    stats: ShiftStatistics | None = None,
 ) -> DualBoundResult:
     """Maximize lambda * p0 - (D_hat(lambda) + lambda * eps) over all lambda >= 0.
 
@@ -628,10 +582,10 @@ def dual_lower_bound(
     one O(n) selection.
 
     ``stats`` replaces the draw from ``rng``: the
-    ``noise_statistics(family, rationale, n, rng, workers)`` of this
-    threat's worst-shift rationale, so that several calls (the probes
-    of a radius search) share one batch and see the ratios a fresh
-    draw from that stream would give.
+    ``noise_statistics(family, rationale, n, rng)`` of this threat's
+    worst-shift rationale, so that several calls (the probes of a
+    radius search) share one batch and see the ratios a fresh draw from
+    that stream would give.
     """
     if not 0.0 < p0_lower <= 1.0:
         raise DomainError(f"p0_lower must be in (0, 1], got {p0_lower}")
@@ -639,20 +593,19 @@ def dual_lower_bound(
         raise DomainError(f"alpha_mc must be in (0, 1/2] for the DKW band, got {alpha_mc}")
     wd = worst_delta(threat, family)
     if stats is None:
-        stats = noise_statistics(family, wd.rationale, n, rng, workers)
-    elif any(s.family != family or s.rationale != wd.rationale for s in stats):
+        stats = noise_statistics(family, wd.rationale, n, rng)
+    elif stats.family != family or stats.rationale != wd.rationale:
         raise DomainError(f"stats must be taken for {family.variant} on the {wd.rationale} ray")
-    rows = sum(s.n for s in stats)
-    if rows != n:
-        raise DomainError(f"stats hold {rows} rows, expected n={n}")
+    if stats.n != n:
+        raise DomainError(f"stats hold {stats.n} rows, expected n={n}")
     with np.errstate(over="ignore"):
-        parts = [np.exp(log_ratio(s, wd.step)) for s in stats]
+        ratios = np.exp(log_ratio(stats, wd.step))
     slope = p0_lower - hoeffding_epsilon(n, 1.0, alpha_mc)
     lam = 0.0
     if slope > 0.0:
         j = math.ceil(n * slope)
-        lam = float(np.partition(np.concatenate(parts), j - 1)[j - 1])
-    est = _estimate_from_parts(parts, n, lam, alpha_mc)
+        lam = float(np.partition(ratios, j - 1)[j - 1])
+    est = _estimate(ratios, lam, alpha_mc)
     bound = lam * p0_lower - est.upper
     return DualBoundResult(
         bound=bound,

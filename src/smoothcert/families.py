@@ -275,8 +275,8 @@ def _log_ratio_batch(
 
 def _unit_sphere(g: np.random.Generator, n: int, d: int) -> np.ndarray:
     u = g.standard_normal((n, d))
-    norms = np.linalg.norm(u, axis=1, keepdims=True)
-    return u / norms
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return u
 
 
 def _mixed_norm_directions(
@@ -326,7 +326,9 @@ def _draw(
         return g.laplace(0.0, family.b, size=(n, d)), None
     if v == "l2_power_tail":
         radius = family.sigma * np.sqrt(2.0 * g.gamma((d - family.k) / 2.0, 1.0, size=n))
-        return radius[:, None] * _unit_sphere(g, n, d), None
+        points = _unit_sphere(g, n, d)
+        points *= radius[:, None]
+        return points, None
     if v == "l1_power_tail":
         radius = g.gamma(d - family.k, family.b, size=n)
         expo = g.standard_exponential((n, d))

@@ -5,7 +5,7 @@ Every source of randomness in the engine flows through a
 reproduce identical variate sequences; there is no global RNG state.
 Derived streams (``child``) are collision-free for tags below the
 fan-out bound, so pipelines can hand disjoint streams to sub-stages,
-sweep configurations, and workers.
+inputs and sweep configurations.
 """
 
 from __future__ import annotations

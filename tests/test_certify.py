@@ -267,9 +267,10 @@ class TestRadiusSearch:
         # a few tenths; frozen seed gives 2.146 vs analytic 2.702
         assert radius >= 1.9
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_draws_noise_once(self, monkeypatch, workers):
-        from smoothcert import discrepancy
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_draws_noise_once(self, monkeypatch, blocks):
+        # one draw of n2 points, whether it arrives in one block or several
+        from smoothcert import discrepancy, families
 
         drawn: list[int] = []
         real = discrepancy.sample_chunks
@@ -282,11 +283,12 @@ class TestRadiusSearch:
         monkeypatch.setattr(discrepancy, "sample_chunks", counting)
         fam = SmoothingFamily.l2_power_tail(6, 2.0, 1.0)
         n2, budget, rng = 20_000, ConfidenceBudget.split(0.002), RandomStream(13)
+        monkeypatch.setattr(families, "_CHUNK_SCALARS", fam.dim * -(-n2 // blocks))
         radius, cert = certified_radius_search(
             Constant(1), np.zeros(6), fam, "l2", r_max=4.0, n1=2000, n2=n2,
-            budget=budget, rng=rng, workers=workers,
+            budget=budget, rng=rng,
         )
-        assert sum(drawn) == n2
+        assert sum(drawn) == n2 and len(drawn) == blocks
         assert cert is not None
 
         # reference: the same bisection with a fresh draw from the same stream per probe
@@ -295,7 +297,7 @@ class TestRadiusSearch:
             mid = 0.5 * (lo + hi)
             dual = dual_lower_bound(
                 cert.p0_lower, fam, ThreatModel("l2", mid), n2, budget.alpha_mc / 12,
-                rng.child(1), workers=workers,
+                rng.child(1),
             )
             if min(dual.bound, 1.0) > 0.5:
                 lo, best = mid, dual

@@ -136,6 +136,61 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command, probe", [
+        ("certify", "n1"), ("certify", "n2"), ("pareto", "pareto.n"), ("certify", "workers"),
+    ])
+    def test_huge_count_or_workers_is_a_config_error(self, tmp_path, capsys, command, probe):
+        # rejected while the config is parsed: nothing is drawn, no thread starts
+        if command == "pareto":
+            cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"n": 1e12}}
+        else:
+            cfg = certify_config(tmp_path / "o")
+            if probe == "workers":
+                cfg["workers"] = 1e9
+            else:
+                cfg["counts"][probe] = 1e12
+        assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert probe.split(".")[-1] in err
+
+
+class TestWorkerInvariance:
+    @pytest.mark.parametrize("command", ["certify", "radius", "pareto"])
+    def test_result_does_not_depend_on_workers(self, tmp_path, command):
+        fam = {"variant": "l2_power_tail", "dim": 6, "k": 2.0, "sigma": 1.0}
+        cfg = {
+            "seed": 19,
+            "family": fam,
+            "counts": {"n1": 2000, "n2": 20_001},
+            "budget": {"alpha_total": 0.002},
+            "classifier": {"kind": "ball", "norm": "l2", "center": [0.0] * 6, "radius": 6.0},
+            "inputs": {"vectors": [[0.0] * 6, [0.3] + [0.0] * 5, [0.0, 0.5] + [0.0] * 4]},
+        }
+        if command == "certify":
+            cfg["threat"] = {"norm": "l2", "radius": 0.4}
+        elif command == "radius":
+            cfg["search"] = {"norm": "l2", "r_max": 3.0}
+        else:
+            cfg = {"seed": 19, "pareto": {
+                "dim": 3, "n": 4001,
+                "threat": {"norm": "linf", "radius": 0.4},
+                "grids": [
+                    {"variant": "mixed_norm", "k_values": [0.0, 1.0], "scale_values": [0.3, 0.8]},
+                    {"variant": "l2_power_tail", "k_values": [0.0, 1.0], "scale_values": [0.3, 0.8]},
+                ],
+            }}
+        bodies = []
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            path = write_config(tmp_path, {**cfg, "out": str(out)}, name=f"w{workers}.json")
+            assert run_cli([command, "--config", path, "--workers", str(workers)]) == 0
+            result = json.loads((out / "result.json").read_text())
+            assert result["config"].pop("workers") == workers
+            result["config"].pop("out")
+            bodies.append(json.dumps(result, sort_keys=True))
+        assert bodies[0] == bodies[1] == bodies[2]
+
 
 class TestCertifyCommand:
     def test_end_to_end_and_reproducible(self, tmp_path):
@@ -258,18 +313,6 @@ class TestSeedEnvVar:
         ) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["config"]["seed"] == 5
-
-
-class TestBenchCommand:
-    def test_result_deterministic(self, tmp_path):
-        out = tmp_path / "run"
-        cfg = {"seed": 1, "workers": 1, "out": str(out), "n": 10_000}
-        path = write_config(tmp_path, cfg)
-        assert run_cli(["bench", "--config", path]) == 0
-        first = (out / "result.json").read_bytes()
-        assert (out / "timings.csv").exists()
-        assert run_cli(["bench", "--config", path]) == 0
-        assert (out / "result.json").read_bytes() == first
 
 
 class TestRadiusSearchCommand:

@@ -108,14 +108,15 @@ class TestDiscrepancyMC:
             est = discrepancy_mc(fam, np.array([2.0, 0, 0, 0]), lam, 50_000, 0.01, RandomStream(4))
             assert 0.0 <= est.mean <= lam
 
-    def test_worker_partition_determinism(self):
+    def test_repeatable(self):
         fam = SmoothingFamily.gaussian(3, 1.0)
         delta = np.array([0.5, 0, 0])
-        a = discrepancy_mc(fam, delta, 1.0, 30_000, 0.01, RandomStream(5), workers=2)
-        b = discrepancy_mc(fam, delta, 1.0, 30_000, 0.01, RandomStream(5), workers=2)
-        assert a.mean == b.mean
-        c = discrepancy_mc(fam, delta, 1.0, 30_000, 0.01, RandomStream(5), workers=1)
-        assert abs(a.mean - c.mean) <= 0.02  # different partitions, same law
+        a = discrepancy_mc(fam, delta, 1.0, 30_000, 0.01, RandomStream(5))
+        b = discrepancy_mc(fam, delta, 1.0, 30_000, 0.01, RandomStream(5))
+        assert a == b
+        c = discrepancy_mc(fam, delta, 1.0, 30_000, 0.01, RandomStream(6))
+        assert a.mean != c.mean
+        assert abs(a.mean - c.mean) <= 0.02  # different streams, same law
 
     def test_estimate_invariant_enforced(self):
         with pytest.raises(DomainError):
@@ -274,12 +275,11 @@ def _direct_d_mean(ratios: np.ndarray, lam: float) -> float:
     return min(math.fsum(np.maximum(lam - ratios, 0.0)) / ratios.size, lam)
 
 
-def _drawn_ratios(fam, threat, n, rng, workers):
+def _drawn_ratios(fam, threat, n, rng):
     from smoothcert.discrepancy import log_ratio, noise_statistics
 
     wd = worst_delta(threat, fam)
-    stats = noise_statistics(fam, wd.rationale, n, rng, workers)
-    return np.concatenate([np.exp(log_ratio(s, wd.step)) for s in stats])
+    return np.exp(log_ratio(noise_statistics(fam, wd.rationale, n, rng), wd.step))
 
 
 def _objective(ratios: np.ndarray, lams: np.ndarray, p0: float, eps: float) -> np.ndarray:
@@ -292,8 +292,8 @@ class TestSortedSweep:
     def test_every_trace_point_matches_direct_sums(self):
         fam = SmoothingFamily.l2_power_tail(8, 2.0, 1.0)
         threat = ThreatModel("l2", 0.4)
-        res = dual_lower_bound(0.9, fam, threat, 30_000, 1e-3, RandomStream(40), workers=2)
-        ratios = _drawn_ratios(fam, threat, 30_000, RandomStream(40), 2)
+        res = dual_lower_bound(0.9, fam, threat, 30_000, 1e-3, RandomStream(40))
+        ratios = _drawn_ratios(fam, threat, 30_000, RandomStream(40))
         (pt,) = res.trace
         assert (pt.lam, pt.d_mean, pt.epsilon, pt.bound) == (
             res.lambda_star, res.d_mean, res.epsilon, res.bound
@@ -309,7 +309,7 @@ class TestSortedSweep:
         threat = ThreatModel("l2", 0.5)
         n, alpha = 5_000, 1e-3
         eps = hoeffding_epsilon(n, 1.0, alpha)
-        ratios = np.sort(_drawn_ratios(fam, threat, n, RandomStream(41), 1))
+        ratios = np.sort(_drawn_ratios(fam, threat, n, RandomStream(41)))
         for p0, j in ((eps + 0.5 / n, 1), (0.9, math.ceil(n * (0.9 - eps)))):
             res = dual_lower_bound(p0, fam, threat, n, alpha, RandomStream(41))
             assert res.lambda_star == ratios[j - 1]
@@ -327,9 +327,7 @@ class TestSortedSweep:
     def test_repeatable(self):
         fam = SmoothingFamily.laplacian(3, 1.0)
         a, b = (
-            dual_lower_bound(
-                0.9, fam, ThreatModel("l1", 0.5), 20_000, 1e-3, RandomStream(43), workers=2
-            )
+            dual_lower_bound(0.9, fam, ThreatModel("l1", 0.5), 20_000, 1e-3, RandomStream(43))
             for _ in range(2)
         )
         assert a.trace == b.trace
@@ -339,7 +337,7 @@ class TestSortedSweep:
         from smoothcert.discrepancy import noise_statistics
 
         fam = SmoothingFamily.gaussian(3, 1.0)
-        stats = noise_statistics(fam, "L2Boundary", 1_000, RandomStream(44), 2)
+        stats = noise_statistics(fam, "L2Boundary", 1_000, RandomStream(44))
         with pytest.raises(DomainError):
             dual_lower_bound(
                 0.9, fam, ThreatModel("l2", 0.1), 2_000, 1e-3, RandomStream(44), stats=stats
@@ -356,7 +354,7 @@ class TestExactMaximizer:
         n, alpha, p0 = 3_000, 1e-3, 0.93
         threat = ThreatModel(norm, r)
         res = dual_lower_bound(p0, fam, threat, n, alpha, RandomStream(49))
-        ratios = _drawn_ratios(fam, threat, n, RandomStream(49), 1)
+        ratios = _drawn_ratios(fam, threat, n, RandomStream(49))
         eps = hoeffding_epsilon(n, 1.0, alpha)
         lams = np.geomspace(1e-3, 1e3, 2_000)
         assert np.all(res.bound >= _objective(ratios, lams, p0, eps) - 1e-12)
@@ -386,7 +384,7 @@ class TestDKWBand:
         root = RandomStream(62)
         covered = 0
         for rep in range(reps):
-            (stats,) = noise_statistics(fam, wd.rationale, n, root.child(rep))
+            stats = noise_statistics(fam, wd.rationale, n, root.child(rep))
             ratios = np.sort(np.exp(log_ratio(stats, wd.step)))
             below = np.searchsorted(ratios, lams, side="left")
             prefix = np.concatenate(([0.0], np.cumsum(ratios)))
@@ -455,12 +453,13 @@ class TestShiftStatistics:
                 0.9, fam, ThreatModel("linf", 0.1), 1_000, 1e-3, RandomStream(47), stats=stats,
             )
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_radius_search_holds_statistics_only(self, monkeypatch, workers):
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_radius_search_holds_statistics_only(self, monkeypatch, blocks):
+        # one flat column per statistic, however many blocks the draw came in
         import sys
 
-        from smoothcert import ConfidenceBudget, Constant, certified_radius_search
-        from smoothcert.discrepancy import _partition_counts
+        from smoothcert import ConfidenceBudget, Constant, certified_radius_search, families
+        from smoothcert.discrepancy import ShiftStatistics
 
         certify = sys.modules["smoothcert.certify"]  # the package exports a function of that name
         seen = []
@@ -472,12 +471,32 @@ class TestShiftStatistics:
 
         monkeypatch.setattr(certify, "dual_lower_bound", recording)
         fam, n2 = SmoothingFamily.mixed_norm(5, 1.0, 1.0), 3_001
+        monkeypatch.setattr(families, "_CHUNK_SCALARS", fam.dim * -(-n2 // blocks))
         certified_radius_search(
             Constant(1), np.zeros(5), fam, "linf", r_max=1.0, n1=1000,
-            n2=n2, budget=ConfidenceBudget.split(0.002), rng=RandomStream(48), workers=workers,
+            n2=n2, budget=ConfidenceBudget.split(0.002), rng=RandomStream(48),
         )
         assert len(seen) == 12 and all(s is seen[0] for s in seen)
-        assert [s.n for s in seen[0]] == _partition_counts(n2, workers)
-        for s in seen[0]:
-            assert len(s.columns) == 3
-            assert all(c.ndim == 1 and c.size == s.n for c in s.columns)
+        stats = seen[0]
+        assert isinstance(stats, ShiftStatistics) and stats.n == n2
+        assert len(stats.columns) == 3
+        assert all(c.ndim == 1 and c.size == n2 for c in stats.columns)
+
+    @pytest.mark.parametrize("norm, fam", [
+        ("l2", SmoothingFamily.l2_power_tail(400, 2.0, 1.0)),
+        ("linf", SmoothingFamily.linf_pure(400, 2.0, 1.0)),
+    ], ids=["l2_power_tail", "linf_pure"])
+    def test_one_stream_of_chunks(self, norm, fam):
+        # the statistics are those of the sample_chunks blocks of stream
+        # rng.child(0), bit for bit, across several blocks
+        from smoothcert import sample_chunks
+        from smoothcert.discrepancy import noise_statistics, shift_statistics
+
+        n, rng = 25_000, RandomStream(51)
+        rationale = worst_delta(ThreatModel(norm, 0.1), fam).rationale
+        blocks = [shift_statistics(fam, rationale, b) for b in sample_chunks(fam, n, rng.child(0))]
+        assert len(blocks) >= 2
+        got = noise_statistics(fam, rationale, n, rng)
+        assert got.n == n
+        for col, parts in zip(got.columns, zip(*(b.columns for b in blocks)), strict=True):
+            assert np.array_equal(col, np.concatenate(parts))

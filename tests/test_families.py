@@ -171,6 +171,17 @@ class TestSamplers:
         b = sample(fam, 500, RandomStream(15, 2))
         assert np.array_equal(a.points, b.points)
 
+    def test_l2_power_tail_matches_out_of_place_formula(self):
+        # the draw scales the unit directions in place; the values must be
+        # exactly those of radius * (u / ||u||) from the same generator
+        fam, n = SmoothingFamily.l2_power_tail(7, 2.0, 1.3), 4_000
+        rng = RandomStream(15, 3)
+        g = rng.generator()
+        radius = fam.sigma * np.sqrt(2.0 * g.gamma((fam.dim - fam.k) / 2.0, 1.0, size=n))
+        u = g.standard_normal((n, fam.dim))
+        expected = radius[:, None] * (u / np.linalg.norm(u, axis=1, keepdims=True))
+        assert np.array_equal(sample(fam, n, rng).points, expected)
+
     def test_chunked_draws_cover_n(self):
         fam = SmoothingFamily.gaussian(1000, 1.0)
         total = sum(block.shape[0] for block in sample_chunks(fam, 12_345, RandomStream(16)))
