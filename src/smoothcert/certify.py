@@ -308,11 +308,11 @@ def certified_radius_search(
 ) -> tuple[float, Certificate | None]:
     """Largest certified radius by bisection on r in [0, r_max].
 
-    The p0 bound is computed once (it does not depend on r) and the n2
-    noise rows are drawn once, from one stream, and reduced to one
-    ``ShiftStatistics`` (2 or 3 floats per row), which every probe
-    reuses: only the radius along the ray changes, and a probe costs
-    O(n2). Every probe is a rigorous certificate at its own
+    The p0 bound is computed once (it does not depend on r) and one
+    ``noise_statistics`` of n2 draws (2 or 3 floats per row, drawn
+    directly on the l1/l2 axis rays) is taken once, from one stream,
+    and every probe reuses it: only the radius along the ray changes,
+    and a probe costs O(n2). Every probe is a rigorous certificate at its own
     radius with the MC budget split across all probes, so the reported
     radius (snapped down to ``r_step`` if given) was itself certified,
     not interpolated.

@@ -332,7 +332,8 @@ def success_counts(
         )
     successes = 0
     for block in sample_chunks(family, n, rng):
-        successes += int(classifier.labels(x0 + block).sum())
+        block += x0  # each block is a fresh array: shift it in place
+        successes += int(classifier.labels(block).sum())
     return BinomialEvidence(successes=successes, trials=n)
 
 

@@ -70,6 +70,13 @@ SEED_ENV_VAR = "SMOOTHCERT_SEED"
 RADIUS_CAP = 1e12
 MAX_COUNT = 10**9  # draws per stage
 MAX_WORKERS = 64
+# Up to 1e6 covers image sizes (CIFAR-10 is 3072, ImageNet 150,528) and
+# keeps one ``sample_chunks`` block at its fixed 4e6 scalars (32 MB).
+MAX_DIM = 10**6
+MAX_ITERATIONS = 64  # bisection halvings; 53 already reach double resolution
+MAX_BATCH = 10**6  # EVAL rows per request
+MAX_TIMEOUT_MS = 86_400_000  # one day
+MAX_QUADRATURE_NODES = 2048  # per axis of the verify polar grid (about 0.3 GB at 2048^2)
 
 
 # ---------------------------------------------------------------------------
@@ -115,12 +122,17 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, integer: boo
     return float(value)
 
 
+def _integer(section: dict, key: str, where: str, default, low: int, high: int):
+    """section[key] as an integer in [low, high] (a None default passes through)."""
+    value = _number(section, key, where, default, integer=True)
+    if value is not None and not low <= value <= high:
+        raise ConfigError(f"{where}.{key} must be in [{low}, {high}], got {value!r}")
+    return value
+
+
 def _count(section: dict, key: str, where: str, default: int) -> int:
     """section[key] as a sample count in [1, MAX_COUNT]."""
-    value = _number(section, key, where, default, integer=True)
-    if not 1 <= value <= MAX_COUNT:
-        raise ConfigError(f"{where}.{key} must be in [1, {MAX_COUNT}], got {value!r}")
-    return value
+    return _integer(section, key, where, default, 1, MAX_COUNT)
 
 
 def _vector(value, where: str) -> np.ndarray:
@@ -137,7 +149,7 @@ def _vector(value, where: str) -> np.ndarray:
 def parse_family(section: dict, where: str = "family") -> SmoothingFamily:
     _strict(section, {"variant", "dim", "k", "sigma", "b"}, where)
     variant = _require(section, "variant", where)
-    dim = _number(section, "dim", where, integer=True)
+    dim = _integer(section, "dim", where, _REQUIRED, 1, MAX_DIM)
     k = _number(section, "k", where, 0.0)
     try:
         family = SmoothingFamily(
@@ -209,9 +221,9 @@ def parse_classifier(section: dict, where: str = "classifier") -> Classifier:
             _strict(section, {"kind", "command", "batch_size", "timeout_ms", "dim"}, where)
             return ExternalClassifier(
                 command=_require(section, "command", where),
-                batch_size=_number(section, "batch_size", where, 1024, integer=True),
-                timeout_ms=_number(section, "timeout_ms", where, 30_000, integer=True),
-                dim=_number(section, "dim", where, None, integer=True),
+                batch_size=_integer(section, "batch_size", where, 1024, 1, MAX_BATCH),
+                timeout_ms=_integer(section, "timeout_ms", where, 30_000, 1, MAX_TIMEOUT_MS),
+                dim=_integer(section, "dim", where, None, 1, MAX_DIM),
             )
     except EngineError as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
@@ -366,6 +378,9 @@ def _run_radius(cfg: dict, out: Path) -> int:
     family = parse_family(_require(cfg, "family", "config"))
     search = cfg.get("search", {})
     _strict(search, {"norm", "r_max", "iterations", "r_step"}, "search")
+    r_max = _number(search, "r_max", "search", 4.0 * family.scale)
+    iterations = _integer(search, "iterations", "search", 12, 1, MAX_ITERATIONS)
+    r_step = _number(search, "r_step", "search", None)
     budget = parse_budget(cfg.get("budget", {}))
     n1, n2 = _counts(cfg)
     classifier = parse_classifier(_require(cfg, "classifier", "config"))
@@ -374,13 +389,13 @@ def _run_radius(cfg: dict, out: Path) -> int:
         radius, cert = certified_radius_search(
             classifier, inputs[0], family,
             search.get("norm", "l2"),
-            _number(search, "r_max", "search", 4.0 * family.scale),
+            r_max,
             n1,
             n2,
             budget,
             RandomStream(cfg["seed"]),
-            iterations=_number(search, "iterations", "search", 12, integer=True),
-            r_step=_number(search, "r_step", "search", None),
+            iterations=iterations,
+            r_step=r_step,
         )
     finally:
         if isinstance(classifier, ExternalClassifier):
@@ -428,7 +443,7 @@ def _run_sample(cfg: dict, out: Path) -> int:
 def _run_pareto(cfg: dict, out: Path) -> int:
     section = cfg.get("pareto", {})
     _strict(section, {"dim", "n", "truth", "threat", "grids", "x0"}, "pareto")
-    dim = _number(section, "dim", "pareto", 5, integer=True)
+    dim = _integer(section, "dim", "pareto", 5, 1, MAX_DIM)
     n = _count(section, "n", "pareto", 100_000)
     truth = parse_classifier(section.get("truth", {"kind": "ball", "norm": "l2",
                                                    "center": [0.0] * dim, "radius": 0.65}),
@@ -495,8 +510,8 @@ def _run_verify(cfg: dict, out: Path) -> int:
     _strict(section, {"n", "n_radial", "n_angular"}, "verify")
     n = _count(section, "n", "verify", 100_000)
     quad = QuadratureGrid(
-        n_radial=_number(section, "n_radial", "verify", 768, integer=True),
-        n_angular=_number(section, "n_angular", "verify", 1280, integer=True),
+        n_radial=_integer(section, "n_radial", "verify", 768, 1, MAX_QUADRATURE_NODES),
+        n_angular=_integer(section, "n_angular", "verify", 1280, 1, MAX_QUADRATURE_NODES),
     )
     root = RandomStream(cfg["seed"])
     checks: dict[str, bool] = {}

@@ -8,7 +8,11 @@ Computes the bounded-function discrepancy
 three independent ways: Monte Carlo with a rigorous one-sided error
 (the production path, any family and dimension), closed forms for
 Gaussian and Laplacian smoothing (oracles), and direct quadrature at
-d <= 3 (oracle). On top of it sits the dual lower bound
+d <= 3 (oracle). The production path needs a draw only through the
+scalars that fix its ratio on the worst-shift ray: on the l1/l2 axis
+rays it draws those from their exact joint law in O(n), and on the
+linf vertex ray it reduces full rows. On top of it sits the dual
+lower bound
 
     max over lambda >= 0 of { lambda * p0 - (D_hat(lambda) + lambda * eps) }
 
@@ -190,6 +194,11 @@ _RAY_VARIANTS = {
 }
 
 
+def _check_ray(family: SmoothingFamily, rationale: str) -> None:
+    if family.variant not in _RAY_VARIANTS.get(rationale, ()):
+        raise DomainError(f"no worst-shift ray {rationale!r} for family {family.variant!r}")
+
+
 def shift_statistics(
     family: SmoothingFamily, rationale: str, block: np.ndarray
 ) -> ShiftStatistics:
@@ -198,8 +207,7 @@ def shift_statistics(
     One O(n d) pass; afterwards ``log_ratio`` costs O(n) at any radius.
     The columns are copies, so the block can be freed.
     """
-    if family.variant not in _RAY_VARIANTS.get(rationale, ()):
-        raise DomainError(f"no worst-shift ray {rationale!r} for family {family.variant!r}")
+    _check_ray(family, rationale)
     if rationale == "LinfVertex":
         columns = (block.sum(axis=1), block.max(axis=1), block.min(axis=1))
     else:
@@ -209,6 +217,45 @@ def shift_statistics(
         else:
             tail = np.einsum("ij,ij->i", rest, rest)
         columns = (block[:, 0].copy(), tail)
+    return ShiftStatistics(family=family, rationale=rationale, columns=columns)
+
+
+def _direct_statistics(
+    family: SmoothingFamily, rationale: str, n: int, g: np.random.Generator
+) -> ShiftStatistics:
+    """n rows of ``ShiftStatistics`` on an l1/l2 axis ray, drawn from their exact law.
+
+    A row is z = rho * w with rho the family's radius law and w an
+    independent direction, so (z1, tail) need only rho and the first
+    coordinate of w against the rest. Each variate is one size-n call,
+    in this order:
+
+    * l2 rays: R^2 = 2 sigma^2 Gamma((d-k)/2), g1 ~ N(0, 1),
+      S = 2 Gamma((d-1)/2) (that is ||g_{2:}||^2 of a normal g, so
+      u = g / ||g|| gives u1^2 = g1^2 / (g1^2 + S)); then
+      z1 = g1 sqrt(R^2 / (g1^2 + S)) and tail = R^2 S / (g1^2 + S);
+    * l1 ray: rho = b Gamma(d-k), E1 ~ Exp(1), G = Gamma(d-1),
+      sign = +-1 (E1 / (E1 + G) is the first Dirichlet(1, ..., 1)
+      weight); then z1 = sign rho E1 / (E1 + G) and
+      tail = rho G / (E1 + G).
+
+    At d = 1 the shape-0 gamma is exactly 0 and draws nothing, so the
+    tail is 0. Costs O(n) whatever d is.
+    """
+    d, k = family.dim, family.k
+    if rationale == "L1Boundary":
+        rho = g.gamma(d - k, family.b, size=n)
+        e1 = g.standard_exponential(n)
+        rest = g.gamma(d - 1.0, 1.0, size=n)
+        sign = 2.0 * g.integers(0, 2, size=n) - 1.0
+        total = e1 + rest
+        columns = (sign * rho * e1 / total, rho * rest / total)
+    else:
+        r2 = 2.0 * family.sigma**2 * g.gamma((d - k) / 2.0, 1.0, size=n)
+        g1 = g.standard_normal(n)
+        rest = 2.0 * g.gamma((d - 1.0) / 2.0, 1.0, size=n)
+        total = g1 * g1 + rest
+        columns = (g1 * np.sqrt(r2 / total), r2 * rest / total)
     return ShiftStatistics(family=family, rationale=rationale, columns=columns)
 
 
@@ -291,12 +338,20 @@ def hoeffding_epsilon(n: int, lam: float, alpha: float) -> float:
 def noise_statistics(
     family: SmoothingFamily, rationale: str, n: int, rng: RandomStream
 ) -> ShiftStatistics:
-    """n pi_0 draws from ``rng.child(0)`` reduced to ``ShiftStatistics``.
+    """``ShiftStatistics`` of n pi_0 draws from stream ``rng.child(0)``.
 
-    The draws come in ``sample_chunks`` blocks from one stream, so they
-    depend only on (family, n, rng). Each block is reduced as it is
-    drawn, so no n x d array outlives its block.
+    On the l1/l2 axis rays (``L1Boundary``, ``L2Boundary``,
+    ``LinfViaL2Equivalence``) the statistics are drawn directly from
+    their exact joint law (``_direct_statistics``), in O(n) with no
+    n x d rows. On ``LinfVertex`` full rows come in ``sample_chunks``
+    blocks, each reduced as it is drawn, so no n x d array outlives its
+    block. Either way the result depends only on (family, n, rng).
     """
+    _check_ray(family, rationale)
+    if n < 1:
+        raise DomainError(f"noise_statistics requires n >= 1, got {n}")
+    if rationale != "LinfVertex":
+        return _direct_statistics(family, rationale, n, rng.child(0).generator())
     reduced = [
         shift_statistics(family, rationale, block)
         for block in sample_chunks(family, n, rng.child(0))
@@ -578,8 +633,9 @@ def dual_lower_bound(
     concave and piecewise linear with slope p0 - eps - F_hat(lambda),
     so its smallest maximizer is the j-th smallest ratio,
     j = ceil(n (p0 - eps)); if p0 <= eps the bound is 0 at lambda = 0.
-    Cost: n draws reduced to worst-shift statistics, O(n) ratios and
-    one O(n) selection.
+    Cost: the ``noise_statistics`` of n draws (O(n) on the l1/l2 axis
+    rays, n full rows on the linf vertex ray), O(n) ratios and one O(n)
+    selection.
 
     ``stats`` replaces the draw from ``rng``: the
     ``noise_statistics(family, rationale, n, rng)`` of this threat's

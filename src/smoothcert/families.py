@@ -17,8 +17,10 @@ variant                 unnormalized density
 Power terms are re-expressed in radius/direction form for sampling, so
 every sampler is exact: radii come from a gamma transform and
 directions from the matching cone measure (by rejection for
-``mixed_norm``). Densities are kept unnormalized; all consumers use
-ratios in which the constants cancel.
+``mixed_norm``). The same form lets ``discrepancy`` draw, on the l1/l2
+axis rays, only the two scalars per row that fix a worst-shift ratio,
+without these n x d rows. Densities are kept unnormalized; all
+consumers use ratios in which the constants cancel.
 """
 
 from __future__ import annotations

@@ -269,18 +269,22 @@ class TestRadiusSearch:
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_draws_noise_once(self, monkeypatch, blocks):
-        # one draw of n2 points, whether it arrives in one block or several
+        # one draw of the n2 statistics per search, straight from their law: no
+        # rows, whether the chunk size would split n2 into one block or several
         from smoothcert import discrepancy, families
 
         drawn: list[int] = []
-        real = discrepancy.sample_chunks
+        real = discrepancy._direct_statistics
 
-        def counting(family, n, rng):
-            for block in real(family, n, rng):
-                drawn.append(block.shape[0])
-                yield block
+        def counting(family, rationale, n, g):
+            drawn.append(n)
+            return real(family, rationale, n, g)
 
-        monkeypatch.setattr(discrepancy, "sample_chunks", counting)
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the l2 ray needs no full rows")
+
+        monkeypatch.setattr(discrepancy, "_direct_statistics", counting)
+        monkeypatch.setattr(discrepancy, "sample_chunks", no_rows)
         fam = SmoothingFamily.l2_power_tail(6, 2.0, 1.0)
         n2, budget, rng = 20_000, ConfidenceBudget.split(0.002), RandomStream(13)
         monkeypatch.setattr(families, "_CHUNK_SCALARS", fam.dim * -(-n2 // blocks))
@@ -288,7 +292,7 @@ class TestRadiusSearch:
             Constant(1), np.zeros(6), fam, "l2", r_max=4.0, n1=2000, n2=n2,
             budget=budget, rng=rng,
         )
-        assert sum(drawn) == n2 and len(drawn) == blocks
+        assert drawn == [n2]
         assert cert is not None
 
         # reference: the same bisection with a fresh draw from the same stream per probe
@@ -303,7 +307,7 @@ class TestRadiusSearch:
                 lo, best = mid, dual
             else:
                 hi = mid
-        assert sum(drawn) == 13 * n2
+        assert drawn == [n2] * 13
         assert radius == lo
         assert cert.bound == min(best.bound, 1.0)
         assert cert.lambda_star == best.lambda_star

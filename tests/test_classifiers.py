@@ -94,6 +94,18 @@ class TestSuccessCounts:
         b = success_counts(clf, np.zeros(4), fam, 20_000, RandomStream(5))
         assert a.successes == b.successes
 
+    def test_in_place_shift_matches_out_of_place_reference(self):
+        # blocks are shifted in place; x0 + block labels every row alike
+        from smoothcert import sample_chunks
+
+        fam = SmoothingFamily.l2_power_tail(6, 2.0, 1.0)
+        x0 = np.array([0.7, -0.3, 0.2, 0.0, 1.1, -0.9])
+        clf = BallIndicator("l2", np.full(6, 0.5), 2.0)
+        n, rng = 30_001, RandomStream(6)
+        got = success_counts(clf, x0, fam, n, rng)
+        ref = sum(int(clf.labels(x0 + block).sum()) for block in sample_chunks(fam, n, rng))
+        assert got.successes == ref and 0 < ref < n
+
 
 class TestExactSmoothedValue:
     def test_full_mass(self):

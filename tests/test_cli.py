@@ -154,6 +154,35 @@ class TestConfigValidation:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert probe.split(".")[-1] in err
 
+    @pytest.mark.parametrize("command, probe", [
+        ("certify", "family.dim"), ("pareto", "pareto.dim"), ("radius", "search.iterations"),
+        ("certify", "classifier.batch_size"),
+    ])
+    def test_out_of_range_integer_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                     command, probe):
+        # rejected while the config is parsed: no engine entry point is reached
+        from smoothcert import cli
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the config should have been rejected before any work")
+
+        for name in ("certify", "certified_radius_search", "pareto_sweep"):
+            monkeypatch.setattr(cli, name, unreachable)
+        cfg = certify_config(tmp_path / "o")
+        if probe == "family.dim":
+            cfg["family"]["dim"] = 1e9
+        elif probe == "pareto.dim":
+            cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"dim": 1e9}}
+        elif probe == "search.iterations":
+            cfg["search"] = {"norm": "l2", "iterations": 1e9}
+        else:
+            cfg["classifier"] = {"kind": "external", "batch_size": 0,
+                                 "command": [sys.executable, "-m", "smoothcert.eval_worker"]}
+        assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert probe.split(".")[-1] in err
+
 
 class TestWorkerInvariance:
     @pytest.mark.parametrize("command", ["certify", "radius", "pareto"])

@@ -483,12 +483,11 @@ class TestShiftStatistics:
         assert all(c.ndim == 1 and c.size == n2 for c in stats.columns)
 
     @pytest.mark.parametrize("norm, fam", [
-        ("l2", SmoothingFamily.l2_power_tail(400, 2.0, 1.0)),
         ("linf", SmoothingFamily.linf_pure(400, 2.0, 1.0)),
-    ], ids=["l2_power_tail", "linf_pure"])
+    ], ids=["linf_pure"])
     def test_one_stream_of_chunks(self, norm, fam):
-        # the statistics are those of the sample_chunks blocks of stream
-        # rng.child(0), bit for bit, across several blocks
+        # on the vertex ray the statistics are those of the sample_chunks
+        # blocks of stream rng.child(0), bit for bit, across several blocks
         from smoothcert import sample_chunks
         from smoothcert.discrepancy import noise_statistics, shift_statistics
 
@@ -500,3 +499,89 @@ class TestShiftStatistics:
         assert got.n == n
         for col, parts in zip(got.columns, zip(*(b.columns for b in blocks)), strict=True):
             assert np.array_equal(col, np.concatenate(parts))
+
+
+# every l1/l2 axis ray family, with k = 0 and k > 0, and d = 1 and d = 2
+_DIRECT_CASES = [
+    ("L2Boundary", SmoothingFamily.gaussian(8, 1.3)),
+    ("L2Boundary", SmoothingFamily.gaussian(1, 1.3)),
+    ("L2Boundary", SmoothingFamily.l2_power_tail(16, 4.0, 1.0)),
+    ("L2Boundary", SmoothingFamily.l2_power_tail(3, 1.5, 1.0)),
+    ("L2Boundary", SmoothingFamily.l2_power_tail(6, 0.0, 1.0)),
+    ("L2Boundary", SmoothingFamily.l2_power_tail(2, 0.5, 0.8)),
+    ("LinfViaL2Equivalence", SmoothingFamily.l2_power_tail(6, 3.0, 1.1)),
+    ("L1Boundary", SmoothingFamily.laplacian(6, 0.7)),
+    ("L1Boundary", SmoothingFamily.laplacian(1, 0.7)),
+    ("L1Boundary", SmoothingFamily.l1_power_tail(6, 2.0, 0.7)),
+    ("L1Boundary", SmoothingFamily.l1_power_tail(6, 0.0, 0.7)),
+    ("L1Boundary", SmoothingFamily.l1_power_tail(2, 0.5, 0.7)),
+]
+_DIRECT_IDS = [f"{r}-{f.variant}-d{f.dim}-k{f.k:g}" for r, f in _DIRECT_CASES]
+
+
+class TestDirectStatistics:
+    """``noise_statistics`` on the l1/l2 axis rays draws no rows."""
+
+    @pytest.mark.parametrize("rationale, fam", _DIRECT_CASES, ids=_DIRECT_IDS)
+    def test_matches_full_draws(self, rationale, fam):
+        # two-sample KS against shift_statistics of full sample() rows, on
+        # both columns and on the log ratio at one radius (their joint law);
+        # every p-value must clear 1e-3
+        from scipy.stats import ks_2samp
+
+        from smoothcert import sample
+        from smoothcert.discrepancy import log_ratio, noise_statistics, shift_statistics
+
+        n = 20_000
+        direct = noise_statistics(fam, rationale, n, RandomStream(52))
+        full = shift_statistics(fam, rationale, sample(fam, n, RandomStream(53)).points)
+        r = 0.5 * fam.scale
+        pairs = list(zip(direct.columns, full.columns)) + [
+            (log_ratio(direct, r), log_ratio(full, r))
+        ]
+        if fam.dim == 1:
+            assert not direct.columns[1].any() and not full.columns[1].any()
+            del pairs[1]
+        for a, b in pairs:
+            assert ks_2samp(a, b).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("rationale, fam", [
+        ("L2Boundary", SmoothingFamily.l2_power_tail(5, 1.5, 0.9)),
+        ("LinfViaL2Equivalence", SmoothingFamily.gaussian(1, 0.9)),
+        ("L1Boundary", SmoothingFamily.l1_power_tail(5, 1.5, 0.6)),
+        ("L1Boundary", SmoothingFamily.laplacian(1, 0.6)),
+    ], ids=["l2_power_tail", "gaussian-d1", "l1_power_tail", "laplacian-d1"])
+    def test_layout(self, rationale, fam):
+        # the documented variates, in order, one size-n call each, from rng.child(0)
+        from smoothcert.discrepancy import noise_statistics
+
+        n, rng = 4_001, RandomStream(54)
+        got = noise_statistics(fam, rationale, n, rng)
+        g = rng.child(0).generator()
+        d, k = fam.dim, fam.k
+        if rationale == "L1Boundary":
+            rho = g.gamma(d - k, fam.b, size=n)
+            e1 = g.standard_exponential(n)
+            rest = g.gamma(d - 1.0, 1.0, size=n)
+            sign = 2.0 * g.integers(0, 2, size=n) - 1.0
+            want = (sign * rho * e1 / (e1 + rest), rho * rest / (e1 + rest))
+        else:
+            r2 = 2.0 * fam.sigma**2 * g.gamma((d - k) / 2.0, 1.0, size=n)
+            g1 = g.standard_normal(n)
+            rest = 2.0 * g.gamma((d - 1.0) / 2.0, 1.0, size=n)
+            q = g1 * g1 + rest
+            want = (g1 * np.sqrt(r2 / q), r2 * rest / q)
+        assert got.n == n and len(got.columns) == 2
+        for col, ref in zip(got.columns, want, strict=True):
+            assert np.array_equal(col, ref)
+        if d == 1:
+            assert not got.columns[1].any()
+
+    def test_validates_like_the_full_draw(self):
+        from smoothcert.discrepancy import noise_statistics
+
+        fam = SmoothingFamily.gaussian(3, 1.0)
+        with pytest.raises(DomainError):
+            noise_statistics(fam, "L2Boundary", 0, RandomStream(55))
+        with pytest.raises(DomainError):
+            noise_statistics(fam, "L1Boundary", 10, RandomStream(55))
