@@ -10,7 +10,7 @@ changes no result: it only sizes the thread pools that run the inputs
 of ``certify`` and the configurations of ``pareto``.
 
 Exit codes: 0 success, 1 verification checks failed, 2 config error,
-3 classifier transport error, 4 sampler abort.
+3 classifier transport error; 4 is reserved (once a sampler abort).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .errors import (
     ConfigError,
     DomainError,
     EngineError,
-    SamplerAbortError,
     TransportError,
     UnsupportedError,
 )
@@ -707,9 +706,6 @@ def main(argv: list[str] | None = None) -> int:
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return 3
-    except SamplerAbortError as exc:
-        print(f"sampler abort: {exc}", file=sys.stderr)
-        return 4
     except (ConfigError, DomainError, UnsupportedError) as exc:
         # invalid parameter combinations surface as config errors
         print(f"config error: {exc}", file=sys.stderr)

@@ -25,9 +25,5 @@ class TransportError(EngineError):
     """External classifier subprocess failed: timeout, bad framing, or death."""
 
 
-class SamplerAbortError(EngineError):
-    """A rejection sampler's acceptance rate collapsed below the floor."""
-
-
 class ConfigError(EngineError, ValueError):
     """A run configuration failed strict validation."""

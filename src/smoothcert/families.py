@@ -14,26 +14,28 @@ variant                 unnormalized density
 ``mixed_norm``          ||z||_inf^-k exp(-||z||_2^2 / (2 sigma^2))
 ======================  =============================================
 
-Power terms are re-expressed in radius/direction form for sampling, so
-every sampler is exact: radii come from a gamma transform and
-directions from the matching cone measure (by rejection for
-``mixed_norm``). The same form lets ``discrepancy`` draw, on the l1/l2
-axis rays, only the two scalars per row that fix a worst-shift ratio,
-without these n x d rows. Densities are kept unnormalized; all
-consumers use ratios in which the constants cancel.
+Every sampler is exact. Radii come from a gamma transform and
+directions from the matching cone measure, which lets ``discrepancy``
+draw, on the l1/l2 axis rays, only the two scalars per row that fix a
+worst-shift ratio. ``mixed_norm`` is drawn given M = ||z||_inf instead
+(``_mixed_norm_unit``). Densities are kept unnormalized; all consumers
+use ratios in which the constants cancel.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
+import types
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
-from .errors import DomainError, SamplerAbortError, SingularityError, UnsupportedError
+from .errors import DomainError, SingularityError, UnsupportedError
 from .rng import RandomStream
 from .special import log_gamma
 
@@ -47,11 +49,6 @@ VARIANTS = (
 )
 _POWER_VARIANTS = frozenset({"l2_power_tail", "l1_power_tail", "linf_pure", "mixed_norm"})
 _SIGMA_VARIANTS = frozenset({"gaussian", "l2_power_tail", "linf_pure", "mixed_norm"})
-
-# Rejection-sampler guard: abort once at least this many proposals have
-# been made and the running acceptance rate is below the floor.
-ACCEPTANCE_MIN_PROPOSALS = 100_000
-ACCEPTANCE_RATE_FLOOR = 1e-6
 
 # Chunk budget (scalars per block) for streaming draws; fixed so that
 # chunked and repeated runs consume the generator identically.
@@ -150,7 +147,7 @@ class SampleBatch:
     family: SmoothingFamily
     seed: int
     stream_id: int
-    acceptance_rate: float | None = None
+    acceptance_rate = 1.0  # share of proposals kept: no sampler rejects
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2 or self.points.shape[0] < 1:
@@ -275,96 +272,108 @@ def _log_ratio_batch(
 # sampling
 
 
-def _unit_sphere(g: np.random.Generator, n: int, d: int) -> np.ndarray:
-    u = g.standard_normal((n, d))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return u
+_LOG_M_MAX = math.log(40.0)  # P(M > 40) < d * 1e-349 at unit scale
 
 
-def _mixed_norm_directions(
-    family: SmoothingFamily, g: np.random.Generator, n: int
-) -> tuple[np.ndarray, float]:
-    """Directions with density prop. to ||u||_inf^-k on the l2 sphere.
+@functools.lru_cache(maxsize=64)
+def _log_linf_law(d: int, k: float):
+    """PINV inverse CDF of log M, M = ||z||_inf of unit-scale mixed_norm.
 
-    Proposal: uniform sphere; acceptance (sqrt(d) ||u||_inf)^-k, valid
-    because ||u||_inf >= 1/sqrt(d) on the unit sphere. Returns the
-    directions and the realized acceptance rate.
+    M has density prop. to u^-k phi(u) erf(u / sqrt 2)^(d-1), with a pole
+    at 0 once k > d-1 that PINV (Derflinger, Hoermann and Leydold 2010)
+    cannot take; t = log M has the bounded, strictly concave log-density
+    below for every 0 <= k < d. The object holds no random state: callers
+    pass their own uniforms to ``ppf``. ``scipy.stats`` costs about
+    0.3-0.7 s and 19 MB to import, so it loads here, on first use.
     """
-    d, k = family.dim, family.k
-    if k == 0.0:
-        return _unit_sphere(g, n, d), 1.0
-    accepted: list[np.ndarray] = []
-    got, proposed = 0, 0
-    sqrt_d = math.sqrt(d)
-    while got < n:
-        m = max(1024, n - got)
-        u = _unit_sphere(g, m, d)
-        prob = (sqrt_d * np.abs(u).max(axis=1)) ** (-k)
-        keep = g.uniform(size=m) < prob
-        taken = u[keep]
-        accepted.append(taken)
-        got += taken.shape[0]
-        proposed += m
-        if proposed >= ACCEPTANCE_MIN_PROPOSALS and got / proposed < ACCEPTANCE_RATE_FLOOR:
-            raise SamplerAbortError(
-                f"mixed_norm direction sampler starved: acceptance rate "
-                f"{got / proposed:.2e} after {proposed} proposals at k={k}, d={d}; "
-                f"acceptance decays like (2 ln d)^(-k/2), so this (k, d) is out of "
-                f"desk scale"
-            )
-    out = np.concatenate(accepted, axis=0)[:n]
-    return out, got / proposed
+    from scipy.optimize import minimize_scalar
+    from scipy.stats.sampling import NumericalInversePolynomial, UNURANError
+
+    def log_density(t: float) -> float:
+        m = math.exp(t)  # erf(m / sqrt 2) / m tends to sqrt(2 / pi) as m -> 0
+        ratio = math.erf(m / math.sqrt(2.0)) / m if m > 1e-8 else math.sqrt(2.0 / math.pi)
+        return (d - k) * t - 0.5 * m * m + (d - 1) * math.log(ratio)
+
+    mode = minimize_scalar(lambda t: -log_density(t), bounds=(-20, _LOG_M_MAX), method="bounded").x
+    peak = log_density(mode)
+    try:  # u-resolution 1e-10: |u - F(ppf(u))| stays below most generators' spacing
+        return NumericalInversePolynomial(
+            types.SimpleNamespace(logpdf=lambda t: log_density(t) - peak),
+            center=mode, domain=(-math.inf, _LOG_M_MAX), u_resolution=1e-10)
+    except UNURANError as exc:
+        raise DomainError(f"mixed_norm l-inf law has no numerical inverse at "
+                          f"d={d}, k={k}: {exc}") from exc
 
 
-def _draw(
-    family: SmoothingFamily, n: int, g: np.random.Generator
-) -> tuple[np.ndarray, float | None]:
-    """Draw n rows from the live generator. Returns (points, acceptance)."""
+def _mixed_norm_unit(d: int, k: float, n: int, g: np.random.Generator) -> np.ndarray:
+    """n unit-scale mixed_norm rows, drawn given M = ||z||_inf.
+
+    Given M, a uniformly placed coordinate is +-M and the other d-1 are
+    i.i.d. N(0, 1) truncated to [-M, M]. Variates, in order: u, n
+    midpoints of 2^52 equal cells of (0, 1), and M = exp(ppf(u)); j, n
+    integers in [0, d); sign, n integers in {0, 1}; v, n x (d-1)
+    uniforms, each mapped to ndtri(Phi(-M) + v (1 - 2 Phi(-M))) and
+    clipped to [-M, M] against rounding. Columns 0 and j of the row
+    (sign M, truncated normals) are then swapped, which keeps the
+    exchangeable truncated normals i.i.d.
+    """
+    u = (g.integers(0, 1 << 52, size=n) + 0.5) * 2.0**-52
+    m = np.exp(_log_linf_law(d, k).ppf(u))
+    j = g.integers(0, d, size=n)
+    sign = 2.0 * g.integers(0, 2, size=n) - 1.0
+    lo = ndtr(-m)[:, None]
+    rest = g.random((n, d - 1)) * (1.0 - 2.0 * lo)
+    rest += lo
+    z = np.empty((n, d))
+    z[:, 0] = sign * m
+    np.clip(ndtri(rest, out=rest), -m[:, None], m[:, None], out=z[:, 1:])
+    rows = np.arange(n)
+    z[rows, 0], z[rows, j] = z[rows, j], z[rows, 0]
+    return z
+
+
+def _draw(family: SmoothingFamily, n: int, g: np.random.Generator) -> np.ndarray:
+    """Draw n rows from the live generator."""
     d = family.dim
     v = family.variant
     if v == "gaussian":
-        return family.sigma * g.standard_normal((n, d)), None
+        return family.sigma * g.standard_normal((n, d))
     if v == "laplacian":
-        return g.laplace(0.0, family.b, size=(n, d)), None
+        return g.laplace(0.0, family.b, size=(n, d))
     if v == "l2_power_tail":
         radius = family.sigma * np.sqrt(2.0 * g.gamma((d - family.k) / 2.0, 1.0, size=n))
-        points = _unit_sphere(g, n, d)
+        points = g.standard_normal((n, d))
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
         points *= radius[:, None]
-        return points, None
+        return points
     if v == "l1_power_tail":
         radius = g.gamma(d - family.k, family.b, size=n)
         expo = g.standard_exponential((n, d))
         weights = expo / expo.sum(axis=1, keepdims=True)
         signs = 2.0 * g.integers(0, 2, size=(n, d)) - 1.0
-        return radius[:, None] * weights * signs, None
+        return radius[:, None] * weights * signs
     if v == "linf_pure":
         radius = family.sigma * np.sqrt(2.0 * g.gamma((d - family.k) / 2.0, 1.0, size=n))
         s = g.uniform(-1.0, 1.0, size=(n, d))
         s /= np.abs(s).max(axis=1, keepdims=True)
-        return radius[:, None] * s, None
-    # mixed_norm: l2 radius, inf-weighted direction by rejection
-    radius = family.sigma * np.sqrt(2.0 * g.gamma((d - family.k) / 2.0, 1.0, size=n))
-    directions, acceptance = _mixed_norm_directions(family, g, n)
-    return radius[:, None] * directions, acceptance
+        return radius[:, None] * s
+    return family.sigma * _mixed_norm_unit(d, family.k, n, g)
 
 
 def sample(family: SmoothingFamily, n: int, rng: RandomStream) -> SampleBatch:
     """Exact i.i.d. draws from the normalized family.
 
     Pure: the same (family, n, rng) triple reproduces the batch
-    bit-for-bit. ``mixed_norm`` batches carry the realized rejection
-    acceptance rate; a starved sampler raises
-    :class:`~smoothcert.errors.SamplerAbortError` instead of stalling.
+    bit-for-bit. No sampler rejects, so every call consumes the stream
+    in a fixed pattern and returns in bounded time.
     """
     if n < 1:
         raise DomainError(f"sample requires n >= 1, got {n}")
-    points, acceptance = _draw(family, n, rng.generator())
     return SampleBatch(
-        points=points,
+        points=_draw(family, n, rng.generator()),
         family=family,
         seed=rng.seed,
         stream_id=rng.stream_id,
-        acceptance_rate=acceptance,
     )
 
 
@@ -384,8 +393,7 @@ def sample_chunks(
     remaining = n
     while remaining > 0:
         m = min(rows, remaining)
-        points, _ = _draw(family, m, g)
-        yield points
+        yield _draw(family, m, g)
         remaining -= m
 
 

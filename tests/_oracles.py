@@ -63,3 +63,27 @@ def laplace_tv_trapezoid(b: float, r: float, lam: float, n: int = 2_000_001) -> 
     pi0 = np.exp(-np.abs(z) / b) / (2.0 * b)
     pid = np.exp(-np.abs(z - r) / b) / (2.0 * b)
     return float(np.trapezoid(np.maximum(lam * pi0 - pid, 0.0), z))
+
+
+def mixed_norm_by_rejection(
+    dim: int, k: float, sigma: float, n: int, g: np.random.Generator
+) -> np.ndarray:
+    """n mixed_norm rows drawn by rejection, the sampler the engine used to ship.
+
+    A row is an l2 radius sigma sqrt(2 Gamma((d-k)/2)) times a direction
+    with density prop. to ||u||_inf^-k on the unit sphere. Directions are
+    proposed uniformly and kept with probability (sqrt(d) ||u||_inf)^-k,
+    which is at most 1 because ||u||_inf >= 1/sqrt(d) there. Frozen as an
+    independent reference for the conditional sampler.
+    """
+    radius = sigma * np.sqrt(2.0 * g.gamma((dim - k) / 2.0, 1.0, size=n))
+    kept: list[np.ndarray] = []
+    got = 0
+    while got < n:
+        m = max(1024, n - got)
+        u = g.standard_normal((m, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        keep = g.uniform(size=m) < (math.sqrt(dim) * np.abs(u).max(axis=1)) ** (-k)
+        kept.append(u[keep])
+        got += int(keep.sum())
+    return radius[:, None] * np.concatenate(kept)[:n]

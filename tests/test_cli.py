@@ -304,13 +304,33 @@ class TestSampleCommand:
         result = json.loads((out / "result.json").read_text())
         assert result["radius_stats"]["mode"] == pytest.approx(np.sqrt(3.0))
 
-    def test_sampler_abort_exit_code(self, tmp_path):
+    def test_high_power_mixed_norm_draws(self, tmp_path):
+        # (100, 60) starved the old rejection sampler, which exited 4
         out = tmp_path / "run"
         cfg = {
             "seed": 3, "workers": 1, "out": str(out), "n": 100,
             "family": {"variant": "mixed_norm", "dim": 100, "k": 60.0, "sigma": 1.0},
         }
-        assert run_cli(["sample", "--config", write_config(tmp_path, cfg)]) == 4
+        assert run_cli(["sample", "--config", write_config(tmp_path, cfg)]) == 0
+        assert len((out / "samples.csv").read_text().strip().splitlines()) == 101
+
+    def test_sampler_setup_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a (d, k) whose l-inf law cannot be inverted raises a DomainError
+        # naming (d, k), which the CLI reports as a config error
+        from scipy.stats import sampling
+
+        def fail(*args, **kwargs):
+            raise sampling.UNURANError("condition for method violated")
+
+        monkeypatch.setattr(sampling, "NumericalInversePolynomial", fail)
+        cfg = {
+            "seed": 3, "workers": 1, "out": str(tmp_path / "run"), "n": 10,
+            "family": {"variant": "mixed_norm", "dim": 9, "k": 2.75, "sigma": 1.0},
+        }
+        assert run_cli(["sample", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "d=9, k=2.75" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_acceptance_telemetry(self, tmp_path):
         out = tmp_path / "run"

@@ -7,7 +7,6 @@ from scipy import stats
 from smoothcert import (
     DomainError,
     RandomStream,
-    SamplerAbortError,
     SingularityError,
     SmoothingFamily,
     UnsupportedError,
@@ -18,7 +17,9 @@ from smoothcert import (
     sample,
     sample_chunks,
 )
-from smoothcert.families import _log_kernel_batch
+from smoothcert.families import _log_kernel_batch, _log_linf_law
+
+from _oracles import mixed_norm_by_rejection
 
 
 class TestConstruction:
@@ -152,7 +153,8 @@ class TestSamplers:
         assert abs(np.abs(batch.points).sum(axis=1).mean() - 4.0) <= 0.02
 
     def test_mixed_norm_scalar_reduction(self):
-        # at d=1 every direction proposal is accepted
+        # no sampler rejects, so every batch reports acceptance 1; at d=1
+        # the row is +-M itself
         batch = sample(SmoothingFamily.mixed_norm(1, 0.5, 1.0), 10_000, RandomStream(13))
         assert batch.acceptance_rate == 1.0
 
@@ -187,10 +189,11 @@ class TestSamplers:
         total = sum(block.shape[0] for block in sample_chunks(fam, 12_345, RandomStream(16)))
         assert total == 12_345
 
-    def test_sampler_abort_names_parameters(self):
-        fam = SmoothingFamily.mixed_norm(50, 40.0, 1.0)
-        with pytest.raises(SamplerAbortError, match=r"k=40.0, d=50"):
-            sample(fam, 100, RandomStream(17))
+    def test_mixed_norm_high_power_draws(self):
+        # (50, 40) starved the old rejection sampler (acceptance below 1e-6)
+        points = sample(SmoothingFamily.mixed_norm(50, 40.0, 1.0), 100, RandomStream(17)).points
+        assert points.shape == (100, 50) and np.isfinite(points).all()
+        assert np.abs(points).max(axis=1).min() > 0.0
 
 
 class TestReductionLaws:
@@ -281,6 +284,66 @@ class TestReductionLaws:
             means = np.abs(block).sum(axis=1) / d
             hits += int(((means >= 1.0 - width) & (means <= 1.0 + width)).sum())
         assert hits / n >= 0.95
+
+
+# every (d, k) edge the family accepts: k = 0, the hyperparameter bound
+# k = d-1, and k = d-0.1, where M's density has a pole at 0
+_EDGE_CASES = sorted({(d, k) for d in (1, 2, 3, 50) for k in (0.0, d - 1.0, d - 0.1)})
+
+
+class TestMixedNormSampler:
+    """The conditional mixed_norm sampler, against the frozen rejection sampler."""
+
+    @pytest.mark.parametrize("d, k", [(5, 1.5), (16, 4.0)])
+    def test_matches_rejection_reference(self, d, k):
+        # two-sample KS on ||z||_inf, ||z||_2 and the LinfVertex statistics
+        # (sum z, max z, min z); every p-value must clear 1e-3
+        n, sigma = 20_000, 0.8
+        got = sample(SmoothingFamily.mixed_norm(d, k, sigma), n, RandomStream(60)).points
+        ref = mixed_norm_by_rejection(d, k, sigma, n, np.random.default_rng(61))
+        for stat in (
+            lambda z: np.abs(z).max(axis=1),
+            lambda z: np.linalg.norm(z, axis=1),
+            lambda z: z.sum(axis=1),
+            lambda z: z.max(axis=1),
+            lambda z: z.min(axis=1),
+        ):
+            assert stats.ks_2samp(stat(got), stat(ref)).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("d, k, sigma", [(5, 1.5, 0.8), (16, 4.0, 1.0), (2, 1.9, 1.3)])
+    def test_second_moment_identity(self, d, k, sigma):
+        # ||z||_2^2 = sigma^2 * 2 Gamma((d-k)/2) exactly, so its mean is sigma^2 (d-k)
+        n = 200_000
+        fam = SmoothingFamily.mixed_norm(d, k, sigma)
+        sq = (sample(fam, n, RandomStream(62)).points ** 2).sum(axis=1)
+        assert abs(sq.mean() - sigma**2 * (d - k)) <= 4.0 * sq.std() / math.sqrt(n)
+
+    @pytest.mark.parametrize("d, k, sigma", [(5, 1.5, 0.7), (1, 0.5, 1.3)])
+    def test_layout(self, d, k, sigma):
+        # the documented variates, in order, from rng.generator()
+        from scipy.special import ndtr, ndtri
+
+        n, rng = 4_001, RandomStream(63)
+        g = rng.generator()
+        u = (g.integers(0, 2**52, size=n) + 0.5) * 2.0**-52
+        m = np.exp(_log_linf_law(d, k).ppf(u))
+        j = g.integers(0, d, size=n)
+        sign = 2.0 * g.integers(0, 2, size=n) - 1.0
+        lo = ndtr(-m)[:, None]
+        rest = np.clip(ndtri(lo + g.random((n, d - 1)) * (1.0 - 2.0 * lo)),
+                       -m[:, None], m[:, None])
+        want = np.column_stack([sign * m, rest])
+        for i in range(n):
+            want[i, [0, j[i]]] = want[i, [j[i], 0]]
+        got = sample(SmoothingFamily.mixed_norm(d, k, sigma), n, rng).points
+        assert np.array_equal(got, sigma * want)
+        assert np.array_equal(np.abs(got).max(axis=1), sigma * m)
+
+    @pytest.mark.parametrize("d, k", _EDGE_CASES, ids=[f"d{d}-k{k:g}" for d, k in _EDGE_CASES])
+    def test_edges_draw(self, d, k):
+        points = sample(SmoothingFamily.mixed_norm(d, k, 1.0), 100, RandomStream(64)).points
+        assert points.shape == (100, d) and np.isfinite(points).all()
+        assert np.abs(points).max(axis=1).min() > 0.0
 
 
 class TestRadiusStats:
