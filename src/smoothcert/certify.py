@@ -60,6 +60,8 @@ class ConfidenceBudget:
                 f"alpha_p0 + alpha_mc = {self.alpha_p0 + self.alpha_mc} exceeds "
                 f"alpha_total = {self.alpha_total}"
             )
+        if self.alpha_mc > 0.5:
+            raise DomainError(f"alpha_mc must be <= 1/2 for the DKW band, got {self.alpha_mc}")
 
     @classmethod
     def split(cls, alpha_total: float) -> "ConfidenceBudget":
@@ -321,6 +323,8 @@ def certified_radius_search(
         raise DomainError(f"r_max must be > 0, got {r_max}")
     if iterations < 1:
         raise DomainError(f"iterations must be >= 1, got {iterations}")
+    if r_step is not None and not r_step > 0.0:
+        raise DomainError(f"r_step must be > 0, got {r_step}")
     evidence = success_counts(classifier, x0, family, n1, rng.child(0))
     p0_lower = clopper_pearson_lower(evidence, budget.alpha_p0)
     if p0_lower <= 0.5:

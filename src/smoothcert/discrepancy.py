@@ -34,6 +34,7 @@ from .families import (
     SmoothingFamily,
     _log_kernel_batch,
     _log_ratio_batch,
+    _nonzero_radius,
     sample_chunks,
 )
 from .rng import RandomStream
@@ -244,14 +245,15 @@ def _direct_statistics(
     """
     d, k = family.dim, family.k
     if rationale == "L1Boundary":
-        rho = g.gamma(d - k, family.b, size=n)
+        rho = _nonzero_radius(g.gamma(d - k, family.b, size=n), family.variant, d, k)
         e1 = g.standard_exponential(n)
         rest = g.gamma(d - 1.0, 1.0, size=n)
         sign = 2.0 * g.integers(0, 2, size=n) - 1.0
         total = e1 + rest
         columns = (sign * rho * e1 / total, rho * rest / total)
     else:
-        r2 = 2.0 * family.sigma**2 * g.gamma((d - k) / 2.0, 1.0, size=n)
+        r2 = 2.0 * family.sigma**2 * _nonzero_radius(
+            g.gamma((d - k) / 2.0, 1.0, size=n), family.variant, d, k)
         g1 = g.standard_normal(n)
         rest = 2.0 * g.gamma((d - 1.0) / 2.0, 1.0, size=n)
         total = g1 * g1 + rest

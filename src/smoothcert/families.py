@@ -50,6 +50,10 @@ VARIANTS = (
 _POWER_VARIANTS = frozenset({"l2_power_tail", "l1_power_tail", "linf_pure", "mixed_norm"})
 _SIGMA_VARIANTS = frozenset({"gaussian", "l2_power_tail", "linf_pure", "mixed_norm"})
 
+# Scales whose square is a normal float, so sigma**2 neither overflows
+# nor vanishes in the density ratios.
+_SCALE_RANGE = (1e-150, 1e150)
+
 # Chunk budget (scalars per block) for streaming draws; fixed so that
 # chunked and repeated runs consume the generator identically.
 _CHUNK_SCALARS = 4_000_000
@@ -77,16 +81,13 @@ class SmoothingFamily:
             raise DomainError(f"unknown family variant {self.variant!r}")
         if self.dim < 1:
             raise DomainError(f"dimension must be >= 1, got {self.dim}")
-        if self.variant in _SIGMA_VARIANTS:
-            if self.sigma is None or not self.sigma > 0.0:
-                raise DomainError(f"{self.variant} requires sigma > 0, got {self.sigma}")
-            if self.b is not None:
-                raise DomainError(f"{self.variant} takes sigma, not b")
-        else:
-            if self.b is None or not self.b > 0.0:
-                raise DomainError(f"{self.variant} requires b > 0, got {self.b}")
-            if self.sigma is not None:
-                raise DomainError(f"{self.variant} takes b, not sigma")
+        name, other = ("sigma", "b") if self.variant in _SIGMA_VARIANTS else ("b", "sigma")
+        scale = getattr(self, name)
+        if scale is None or not _SCALE_RANGE[0] <= scale <= _SCALE_RANGE[1]:
+            raise DomainError(f"{self.variant} requires {name} in [{_SCALE_RANGE[0]:g}, "
+                              f"{_SCALE_RANGE[1]:g}], got {scale}")
+        if getattr(self, other) is not None:
+            raise DomainError(f"{self.variant} takes {name}, not {other}")
         if self.variant in _POWER_VARIANTS:
             if not 0.0 <= self.k < self.dim:
                 raise DomainError(
@@ -305,6 +306,19 @@ def _log_linf_law(d: int, k: float):
                           f"d={d}, k={k}: {exc}") from exc
 
 
+def _nonzero_radius(radius: np.ndarray, variant: str, d: int, k: float) -> np.ndarray:
+    """``radius`` (each row's radius variate, or M = ||z||_inf), checked in O(n).
+
+    Near k = d the radius law is so concentrated at 0 that draws round
+    to exactly 0: the power term diverges there, every density ratio is
+    undefined, and a bound would silently read 0.
+    """
+    if not radius.all():
+        raise DomainError(f"{variant} at d={d}, k={k} draws rows at the origin; "
+                          f"k is too close to d")
+    return radius
+
+
 def _mixed_norm_unit(d: int, k: float, n: int, g: np.random.Generator) -> np.ndarray:
     """n unit-scale mixed_norm rows, drawn given M = ||z||_inf.
 
@@ -318,7 +332,7 @@ def _mixed_norm_unit(d: int, k: float, n: int, g: np.random.Generator) -> np.nda
     exchangeable truncated normals i.i.d.
     """
     u = (g.integers(0, 1 << 52, size=n) + 0.5) * 2.0**-52
-    m = np.exp(_log_linf_law(d, k).ppf(u))
+    m = _nonzero_radius(np.exp(_log_linf_law(d, k).ppf(u)), "mixed_norm", d, k)
     j = g.integers(0, d, size=n)
     sign = 2.0 * g.integers(0, 2, size=n) - 1.0
     lo = ndtr(-m)[:, None]
@@ -334,30 +348,32 @@ def _mixed_norm_unit(d: int, k: float, n: int, g: np.random.Generator) -> np.nda
 
 def _draw(family: SmoothingFamily, n: int, g: np.random.Generator) -> np.ndarray:
     """Draw n rows from the live generator."""
-    d = family.dim
+    d, k = family.dim, family.k
     v = family.variant
     if v == "gaussian":
         return family.sigma * g.standard_normal((n, d))
     if v == "laplacian":
         return g.laplace(0.0, family.b, size=(n, d))
     if v == "l2_power_tail":
-        radius = family.sigma * np.sqrt(2.0 * g.gamma((d - family.k) / 2.0, 1.0, size=n))
+        radius = family.sigma * np.sqrt(2.0 * _nonzero_radius(
+            g.gamma((d - k) / 2.0, 1.0, size=n), v, d, k))
         points = g.standard_normal((n, d))
         points /= np.linalg.norm(points, axis=1, keepdims=True)
         points *= radius[:, None]
         return points
     if v == "l1_power_tail":
-        radius = g.gamma(d - family.k, family.b, size=n)
+        radius = _nonzero_radius(g.gamma(d - k, family.b, size=n), v, d, k)
         expo = g.standard_exponential((n, d))
         weights = expo / expo.sum(axis=1, keepdims=True)
         signs = 2.0 * g.integers(0, 2, size=(n, d)) - 1.0
         return radius[:, None] * weights * signs
     if v == "linf_pure":
-        radius = family.sigma * np.sqrt(2.0 * g.gamma((d - family.k) / 2.0, 1.0, size=n))
+        radius = family.sigma * np.sqrt(2.0 * _nonzero_radius(
+            g.gamma((d - k) / 2.0, 1.0, size=n), v, d, k))
         s = g.uniform(-1.0, 1.0, size=(n, d))
         s /= np.abs(s).max(axis=1, keepdims=True)
         return radius[:, None] * s
-    return family.sigma * _mixed_norm_unit(d, family.k, n, g)
+    return family.sigma * _mixed_norm_unit(d, k, n, g)
 
 
 def sample(family: SmoothingFamily, n: int, rng: RandomStream) -> SampleBatch:

@@ -138,23 +138,22 @@ def pareto_sweep(
     streams, so the result is independent of worker scheduling.
     """
     x0 = np.asarray(x0, dtype=float)
-    configs: list[tuple[str, float, float, int]] = []
-    tag = 0
+    # every family, worst shift and stream is built here, so a bad grid
+    # fails before any draw or thread
+    configs: list[tuple[SmoothingFamily, float, float, RandomStream]] = []
     for grid in grids:
         k_values = grid.k_values if grid.variant not in ("gaussian", "laplacian") else (0.0,)
         for k in k_values:
             for scale in grid.scale_values:
-                configs.append((grid.variant, k, scale, tag))
-                tag += 1
+                family = _make_family(grid.variant, dim, k, scale)
+                worst_delta(threat, family)
+                configs.append((family, k, scale, rng.child(len(configs))))
 
-    def one(cfg: tuple[str, float, float, int]) -> ParetoPoint:
-        variant, k, scale, tag_ = cfg
-        family = _make_family(variant, dim, k, scale)
-        acc, acc_se, rob, rob_se = _sweep_point(
-            truth, x0, threat, family, n, rng.child(tag_)
-        )
+    def one(cfg: tuple[SmoothingFamily, float, float, RandomStream]) -> ParetoPoint:
+        family, k, scale, stream = cfg
+        acc, acc_se, rob, rob_se = _sweep_point(truth, x0, threat, family, n, stream)
         return ParetoPoint(
-            variant=variant, k=k, scale=scale,
+            variant=family.variant, k=k, scale=scale,
             accuracy=acc, accuracy_se=acc_se,
             robustness=rob, robustness_se=rob_se,
         )

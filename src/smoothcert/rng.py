@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DomainError
+
 _CHILD_FANOUT = 1024  # child tags must stay below _CHILD_FANOUT - 1
 
 
@@ -24,7 +26,7 @@ class RandomStream:
 
     def __post_init__(self) -> None:
         if self.stream_id < 0:
-            raise ValueError(f"stream_id must be >= 0, got {self.stream_id}")
+            raise DomainError(f"stream_id must be >= 0, got {self.stream_id}")
 
     def generator(self) -> np.random.Generator:
         """A fresh numpy Generator for this stream.
@@ -38,5 +40,5 @@ class RandomStream:
     def child(self, tag: int) -> "RandomStream":
         """Derive an independent stream; distinct tags never collide."""
         if not 0 <= tag < _CHILD_FANOUT - 1:
-            raise ValueError(f"child tag must be in [0, {_CHILD_FANOUT - 2}], got {tag}")
+            raise DomainError(f"child tag must be in [0, {_CHILD_FANOUT - 2}], got {tag}")
         return RandomStream(self.seed, self.stream_id * _CHILD_FANOUT + tag + 1)

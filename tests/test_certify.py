@@ -180,6 +180,11 @@ class TestConfidenceBudget:
         with pytest.raises(DomainError):
             ConfidenceBudget(alpha_total=0.001, alpha_p0=0.001, alpha_mc=0.001)
 
+    def test_alpha_mc_above_half_rejected(self):
+        # the DKW band of the MC stage holds only for alpha_mc <= 1/2
+        with pytest.raises(DomainError, match="alpha_mc"):
+            ConfidenceBudget(alpha_total=0.99, alpha_p0=0.3, alpha_mc=0.6)
+
 
 class TestCertifyPipeline:
     def test_constant_one_certifies(self):
@@ -322,6 +327,16 @@ class TestRadiusSearch:
         )
         assert cert is not None
         assert abs(radius / 0.05 - round(radius / 0.05)) <= 1e-9
+
+    @pytest.mark.parametrize("r_step", [0.0, -0.05])
+    def test_nonpositive_r_step_rejected(self, r_step):
+        # a negative step would snap the radius up, past what was certified
+        with pytest.raises(DomainError, match="r_step"):
+            certified_radius_search(
+                Constant(1), np.zeros(3), SmoothingFamily.gaussian(3, 1.0), "l2", r_max=4.0,
+                n1=500, n2=500, budget=ConfidenceBudget.split(0.002), rng=RandomStream(11),
+                r_step=r_step,
+            )
 
     def test_hopeless_classifier(self):
         fam = SmoothingFamily.gaussian(3, 1.0)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
+import os
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from smoothcert.cli import main
 
@@ -157,10 +162,15 @@ class TestConfigValidation:
     @pytest.mark.parametrize("command, probe", [
         ("certify", "family.dim"), ("pareto", "pareto.dim"), ("radius", "search.iterations"),
         ("certify", "classifier.batch_size"),
+        ("certify", "5 as classifier.command"), ("certify", "[] as classifier.command"),
+        ("certify", "'python' as classifier.command"), ("pareto", "pareto.grids"),
+        ("pareto", "pareto.x0"), ("certify", "out"), ("certify", "threat.norm"),
+        ("radius", "search.norm"), ("certify", "budget.alpha_mc"), ("certify", "threat.radius"),
     ])
     def test_out_of_range_integer_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                      command, probe):
-        # rejected while the config is parsed: no engine entry point is reached
+        # rejected while the config is parsed: no engine entry point is reached;
+        # a probe names the key last, after the bad value where a key has several
         from smoothcert import cli
 
         def unreachable(*args, **kwargs):
@@ -175,17 +185,119 @@ class TestConfigValidation:
             cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"dim": 1e9}}
         elif probe == "search.iterations":
             cfg["search"] = {"norm": "l2", "iterations": 1e9}
-        else:
+        elif probe == "classifier.batch_size":
             cfg["classifier"] = {"kind": "external", "batch_size": 0,
                                  "command": [sys.executable, "-m", "smoothcert.eval_worker"]}
+        elif probe.endswith("classifier.command"):
+            cfg["classifier"] = {"kind": "external", "command": json.loads(
+                probe.split(" as ")[0].replace("'", '"'))}
+        elif probe == "pareto.grids":
+            cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"grids": 5}}
+        elif probe == "pareto.x0":
+            cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"dim": 3, "x0": [0.0, 0.0]}}
+        elif probe == "out":
+            cfg["out"] = write_config(tmp_path, {}, name="a_file")
+        elif probe == "threat.norm":
+            cfg["threat"]["norm"] = "l1"  # no worst-shift theorem for l1 with gaussian
+        elif probe == "search.norm":
+            cfg["search"] = {"norm": "l1"}
+        elif probe == "budget.alpha_mc":
+            cfg["budget"] = {"alpha_total": 0.99, "alpha_p0": 0.3, "alpha_mc": 0.6}
+        else:
+            cfg["threat"]["radius"] = 1e308
         assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert probe.split(".")[-1] in err
 
 
+# one small valid config per command (n1, n2, n <= 2,000; d <= 4); the
+# external worker exits at once, so that config ends in a transport error
+_FUZZ_BASES = [
+    ("certify", certify_config("o", family={"variant": "l2_power_tail", "dim": 4, "k": 1.0,
+                                            "sigma": 1.0},
+                               counts={"n1": 500, "n2": 500},
+                               classifier={"kind": "ball", "norm": "l2", "center": [0.0] * 4,
+                                           "radius": 3.0})),
+    ("certify", certify_config("o", family={"variant": "mixed_norm", "dim": 3, "k": 0.5,
+                                            "sigma": 0.5},
+                               threat={"norm": "linf", "radius": 0.05},
+                               counts={"n1": 200, "n2": 200},
+                               classifier={"kind": "external", "command": [sys.executable, "-c", "0"],
+                                           "batch_size": 64, "timeout_ms": 2000, "dim": 3},
+                               inputs={"vectors": [[0.0] * 3]})),
+    ("radius", {"seed": 1, "workers": 1, "out": "o",
+                "family": {"variant": "laplacian", "dim": 2, "b": 1.0},
+                "search": {"norm": "l1", "r_max": 2.0, "iterations": 4, "r_step": 0.01},
+                "counts": {"n1": 300, "n2": 300},
+                "budget": {"alpha_total": 0.01, "alpha_p0": 0.005, "alpha_mc": 0.005},
+                "classifier": {"kind": "halfspace", "w": [1.0, 0.0], "c": -5.0},
+                "inputs": {"vectors": [[0.0, 0.0], [1.0, 1.0]]}}),
+    ("radius", {"seed": 1, "out": "o",
+                "closed_form": {"method": "teng", "p0": 0.9, "b": 1.0, "cap": 100.0}}),
+    ("sample", {"seed": 1, "workers": 1, "out": "o", "n": 100,
+                "family": {"variant": "linf_pure", "dim": 3, "k": 1.0, "sigma": 1.0}}),
+    ("pareto", {"seed": 1, "workers": 2, "out": "o", "pareto": {
+        "dim": 3, "n": 300,
+        "truth": {"kind": "ball", "norm": "linf", "center": [0.0] * 3, "radius": 1.0},
+        "threat": {"norm": "linf", "radius": 0.1},
+        "grids": [{"variant": "mixed_norm", "k_values": [0.0, 1.0], "scale_values": [0.5]},
+                  {"variant": "gaussian", "scale_values": [0.5]}],
+        "x0": [0.0] * 3}}),
+    ("verify", {"seed": 1, "workers": 1, "out": "o",
+                "verify": {"n": 100, "n_radial": 8, "n_angular": 8}}),
+]
+# no empty object: in place of a section whose keys all have defaults
+# (pareto, verify) it is a valid full-size run
+_MALFORMED = ["", "x", "1", True, False, None, [], [[1.0]], [1.0, [2.0]], [{}], {"a": {}},
+              -1, -0.5, 0, 0.5, 2.5, 1e12, 1e308, -1e308]
+
+
+def _key_paths(value, prefix=()):
+    """The path of every key and list item inside a config document."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+@st.composite
+def _one_malformed_key(draw):
+    command, base = draw(st.sampled_from(_FUZZ_BASES))
+    path = draw(st.sampled_from(sorted(_key_paths(base), key=str)))
+    cfg = json.loads(json.dumps(base))
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(st.sampled_from(_MALFORMED))
+    return command, cfg
+
+
+class TestConfigFuzz:
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=_one_malformed_key())
+    def test_one_malformed_key_exits_cleanly(self, tmp_path_factory, case):
+        # every exit is a documented code; 2 and 3 come with one stderr line
+        command, cfg = case
+        workdir = tmp_path_factory.mktemp("fuzz")
+        path = write_config(workdir, cfg)
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(workdir)  # a fuzzed "out" is a relative path
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", path])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2, 3)
+        if code in (2, 3):
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
 class TestWorkerInvariance:
-    @pytest.mark.parametrize("command", ["certify", "radius", "pareto"])
+    @pytest.mark.parametrize("command", ["certify", "radius", "pareto", "pareto-external"])
     def test_result_does_not_depend_on_workers(self, tmp_path, command):
         fam = {"variant": "l2_power_tail", "dim": 6, "k": 2.0, "sigma": 1.0}
         cfg = {
@@ -209,11 +321,16 @@ class TestWorkerInvariance:
                     {"variant": "l2_power_tail", "k_values": [0.0, 1.0], "scale_values": [0.3, 0.8]},
                 ],
             }}
+            if command == "pareto-external":
+                # one EVAL worker must not be driven from two pool threads at once
+                cfg["pareto"]["truth"] = {"kind": "external", "batch_size": 64, "command": [
+                    sys.executable, "-m", "smoothcert.eval_worker", "ball-l2", "--radius", "0.65"]}
         bodies = []
         for workers in (1, 2, 4):
             out = tmp_path / f"w{workers}"
             path = write_config(tmp_path, {**cfg, "out": str(out)}, name=f"w{workers}.json")
-            assert run_cli([command, "--config", path, "--workers", str(workers)]) == 0
+            assert run_cli([command.split("-")[0], "--config", path,
+                            "--workers", str(workers)]) == 0
             result = json.loads((out / "result.json").read_text())
             assert result["config"].pop("workers") == workers
             result["config"].pop("out")

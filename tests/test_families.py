@@ -17,6 +17,7 @@ from smoothcert import (
     sample,
     sample_chunks,
 )
+from smoothcert.discrepancy import noise_statistics
 from smoothcert.families import _log_kernel_batch, _log_linf_law
 
 from _oracles import mixed_norm_by_rejection
@@ -343,6 +344,30 @@ class TestMixedNormSampler:
     def test_edges_draw(self, d, k):
         points = sample(SmoothingFamily.mixed_norm(d, k, 1.0), 100, RandomStream(64)).points
         assert points.shape == (100, d) and np.isfinite(points).all()
+        assert np.abs(points).max(axis=1).min() > 0.0
+
+
+class TestOriginDraws:
+    """Near k = d the radius law underflows to 0, where every ratio is undefined."""
+
+    @pytest.mark.parametrize("family", [
+        SmoothingFamily.mixed_norm(1, 0.999999, 1.0),
+        SmoothingFamily.mixed_norm(2, 1.9999, 1.0),
+        SmoothingFamily.l2_power_tail(2, 1.9999, 1.0),
+    ], ids=lambda f: f"{f.variant}-d{f.dim}-k{f.k:g}")
+    def test_rows_at_the_origin_raise(self, family):
+        with pytest.raises(DomainError, match=f"d={family.dim}, k={family.k}"):
+            sample(family, 10_000, RandomStream(66))
+
+    def test_direct_statistics_raise(self):
+        family = SmoothingFamily.l2_power_tail(2, 1.9999, 1.0)
+        with pytest.raises(DomainError, match="d=2, k=1.9999"):
+            noise_statistics(family, "L2Boundary", 10_000, RandomStream(66))
+
+    @pytest.mark.parametrize("variant", ["mixed_norm", "l2_power_tail"])
+    def test_k_equal_d_minus_one_still_draws(self, variant):
+        # the d = 2 worst-shift verification uses k = d-1
+        points = sample(SmoothingFamily(variant, 2, k=1.0, sigma=1.0), 10_000, RandomStream(66)).points
         assert np.abs(points).max(axis=1).min() > 0.0
 
 
