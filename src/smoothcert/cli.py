@@ -8,7 +8,7 @@ Every output file embeds the resolved configuration and the engine
 version, and reruns with an identical (config, seed) pair produce
 byte-identical result.json files. Each Monte Carlo stage draws from one random stream,
 so ``workers`` changes no result: it only sizes the thread pools that
-run the inputs of ``certify`` and the configurations of ``pareto``.
+run the inputs of ``certify`` and the (variant, k) groups of ``pareto``.
 
 Exit codes: 0 success, 1 verification checks failed, 2 config error,
 3 classifier transport error; 4 is reserved (once a sampler abort).
@@ -55,10 +55,11 @@ from .lab import (
     matched_mean_variance_ratios,
     mean_variance_curve,
     pareto_sweep,
+    sweep_groups,
     thin_shell_report,
     worst_delta_grid_check,
 )
-from .rng import RandomStream
+from .rng import MAX_CHILDREN, RandomStream
 
 COMMANDS = ("certify", "radius", "sample", "pareto", "verify")
 SEED_ENV_VAR = "SMOOTHCERT_SEED"
@@ -449,6 +450,9 @@ def _pareto(top: dict) -> Job:
         scale_values = grid.get("scale_values", np.geomspace(0.05, 2.0, 10))
         grids.append(FamilyGrid(grid["variant"], tuple(k_values.tolist()),
                                 tuple(scale_values.tolist())))
+    groups = len(sweep_groups(grids))
+    if groups > MAX_CHILDREN:  # each (variant, k) group draws on one child stream
+        raise ConfigError(f"pareto.grids has {groups} (variant, k) groups, at most {MAX_CHILDREN}")
 
     def job(out: Path, config: dict) -> Report:
         # one EVAL adapter serves one thread at a time, as in certify

@@ -50,6 +50,13 @@ class FamilyGrid:
 
 @dataclass(frozen=True)
 class ParetoPoint:
+    """One (variant, k, scale) point of a sweep, with Monte Carlo SEs.
+
+    The points of one (variant, k) group share their draws, so their
+    estimates are positively correlated; each SE is that of its own
+    point, as if drawn alone.
+    """
+
     variant: str
     k: float
     scale: float
@@ -70,44 +77,61 @@ def _make_family(variant: str, dim: int, k: float, scale: float) -> SmoothingFam
     return SmoothingFamily(variant, dim, k=k, b=scale)
 
 
+def sweep_groups(grids: list[FamilyGrid]) -> list[tuple[str, float, tuple[float, ...]]]:
+    """The (variant, k, scales) groups of a sweep, one draw each.
+
+    gaussian and laplacian take no k, so each makes one group.
+    """
+    return [
+        (grid.variant, k, grid.scale_values)
+        for grid in grids
+        for k in (grid.k_values if grid.variant not in ("gaussian", "laplacian") else (0.0,))
+    ]
+
+
 def _sweep_point(
     truth: Classifier,
     x0: np.ndarray,
     threat: ThreatModel,
     family: SmoothingFamily,
+    scales: tuple[float, ...],
     n: int,
     rng: RandomStream,
-) -> tuple[float, float, float, float]:
-    """(accuracy, acc_se, robustness, rob_se) from one shared batch.
+) -> list[tuple[float, float, float, float]]:
+    """(accuracy, acc_se, robustness, rob_se) per scale from one unit-scale batch.
 
-    Robustness is the discrepancy at lambda = 1 (the total-variation
-    slice of the trade-off) evaluated at the worst shift.
+    ``family`` has scale 1. Every family is a scale family: s times a
+    unit draw is a draw at scale s, and pi_s(s z + s delta) / pi_s(s z)
+    is the unit ratio at (z, delta). So one block of unit draws, reduced
+    once to its shift statistics, serves each scale s, with the truth
+    evaluated at x0 + s z and the ratio at shift step / s. Robustness is
+    the discrepancy at lambda = 1 (the total-variation slice of the
+    trade-off) evaluated at the worst shift.
     """
     wd = worst_delta(threat, family)
-    hits = 0
-    rob_sum = 0.0
-    rob_sq = 0.0
+    sums = np.zeros((len(scales), 3))  # hits, sum and sum of squares of robustness terms
     with np.errstate(over="ignore", divide="ignore"):
         for block in sample_chunks(family, n, rng):
-            hits += int(evaluate(truth, x0 + block).sum())
             stats = shift_statistics(family, wd.rationale, block)
-            vals = 1.0 - np.exp(log_ratio(stats, wd.step))
-            np.maximum(vals, 0.0, out=vals)
-            rob_sum += float(vals.sum())
-            rob_sq += float((vals * vals).sum())
-    acc = hits / n
-    rob = rob_sum / n
-    rob_var = max(0.0, rob_sq / n - rob * rob)
-    return (
-        acc,
-        math.sqrt(acc * (1.0 - acc) / n),
-        rob,
-        math.sqrt(rob_var / n),
-    )
+            for row, s in zip(sums, scales):
+                vals = 1.0 - np.exp(log_ratio(stats, wd.step / s))
+                np.maximum(vals, 0.0, out=vals)
+                row += (evaluate(truth, x0 + s * block).sum(), vals.sum(), (vals * vals).sum())
+    out = []
+    for acc, rob, rob_sq in sums / n:
+        rob_var = max(0.0, rob_sq - rob * rob)
+        out.append((float(acc), math.sqrt(acc * (1.0 - acc) / n), float(rob), math.sqrt(rob_var / n)))
+    return out
 
 
 def _guarded_dominates(q: ParetoPoint, p: ParetoPoint) -> bool:
-    """Weak dominance with a 2-combined-SE noise guard band."""
+    """Weak dominance with a 2-combined-SE noise guard band.
+
+    The hypot combination assumes independent points. Two points of one
+    (variant, k) group share draws and are positively correlated, so
+    their difference varies less and the guard is conservative there;
+    across groups it is exact.
+    """
     g_acc = 2.0 * math.hypot(q.accuracy_se, p.accuracy_se)
     g_rob = 2.0 * math.hypot(q.robustness_se, p.robustness_se)
     at_least_as_good = (
@@ -134,35 +158,33 @@ def pareto_sweep(
     Accuracy is the Monte Carlo estimate of the smoothed truth value at
     x0; robustness is the lambda = 1 discrepancy at the worst shift.
     Frontier flags mark points not (guardedly) dominated by another
-    point of the same family. Configurations run on disjoint child
-    streams, so the result is independent of worker scheduling.
+    point of the same family. Each (variant, k) group draws n unit-scale
+    rows once, on its own child stream, and serves all its scales from
+    them (``_sweep_point``): its points are positively correlated, each
+    with the SE it would have alone. Groups run on disjoint streams, so
+    the result is independent of worker scheduling.
     """
     x0 = np.asarray(x0, dtype=float)
     # every family, worst shift and stream is built here, so a bad grid
     # fails before any draw or thread
-    configs: list[tuple[SmoothingFamily, float, float, RandomStream]] = []
-    for grid in grids:
-        k_values = grid.k_values if grid.variant not in ("gaussian", "laplacian") else (0.0,)
-        for k in k_values:
-            for scale in grid.scale_values:
-                family = _make_family(grid.variant, dim, k, scale)
-                worst_delta(threat, family)
-                configs.append((family, k, scale, rng.child(len(configs))))
+    groups: list[tuple[SmoothingFamily, float, tuple[float, ...], RandomStream]] = []
+    for variant, k, scales in sweep_groups(grids):
+        for scale in scales:
+            _make_family(variant, dim, k, scale)
+        family = _make_family(variant, dim, k, 1.0)
+        worst_delta(threat, family)
+        groups.append((family, k, scales, rng.child(len(groups))))
 
-    def one(cfg: tuple[SmoothingFamily, float, float, RandomStream]) -> ParetoPoint:
-        family, k, scale, stream = cfg
-        acc, acc_se, rob, rob_se = _sweep_point(truth, x0, threat, family, n, stream)
-        return ParetoPoint(
-            variant=family.variant, k=k, scale=scale,
-            accuracy=acc, accuracy_se=acc_se,
-            robustness=rob, robustness_se=rob_se,
-        )
+    def one(group: tuple) -> list[ParetoPoint]:
+        family, k, scales, stream = group
+        estimates = _sweep_point(truth, x0, threat, family, scales, n, stream)
+        return [ParetoPoint(family.variant, k, s, *e) for s, e in zip(scales, estimates)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(one, configs))
+            raw = [p for points in pool.map(one, groups) for p in points]
     else:
-        raw = [one(cfg) for cfg in configs]
+        raw = [p for group in groups for p in one(group)]
     out: list[ParetoPoint] = []
     for p in raw:
         dominated = any(
@@ -187,7 +209,8 @@ def frontier_weakly_dominates(
     Compares best-accuracy-at-robustness-budget step functions at every
     budget where either frontier changes. Returns the verdict and the
     worst margin (min over budgets of acc_a - acc_b + guard; >= 0 iff
-    dominated).
+    dominated). The guard treats the two points as independent, which
+    holds across (variant, k) groups; two variants never share a group.
     """
     fa, fb = frontier_points(points, variant_a), frontier_points(points, variant_b)
     if not fa or not fb:
@@ -273,24 +296,21 @@ def best_bound_by_family(
     x0 = np.asarray(x0, dtype=float)
     best: dict[str, FamilyBest] = {}
     tag = 0
-    for grid in grids:
-        k_values = grid.k_values if grid.variant not in ("gaussian", "laplacian") else (0.0,)
-        for k in k_values:
-            for scale in grid.scale_values:
-                family = _make_family(grid.variant, dim, k, scale)
-                acc, acc_se, rob, rob_se = _sweep_point(
-                    truth, x0, threat, family, n, rng.child(tag)
-                )
-                tag += 1
-                point = ParetoPoint(grid.variant, k, scale, acc, acc_se, rob, rob_se)
-                if acc <= 0.0:
-                    continue
-                result = dual_lower_bound(
-                    min(acc, 1.0), family, threat, n, alpha, rng.child(tag)
-                )
-                tag += 1
-                if grid.variant not in best or result.bound > best[grid.variant].bound:
-                    best[grid.variant] = FamilyBest(result, point)
+    for variant, k, scales in sweep_groups(grids):
+        unit = _make_family(variant, dim, k, 1.0)
+        for scale in scales:
+            family = _make_family(variant, dim, k, scale)
+            [estimate] = _sweep_point(truth, x0, threat, unit, (scale,), n, rng.child(tag))
+            tag += 1
+            point = ParetoPoint(variant, k, scale, *estimate)
+            if point.accuracy <= 0.0:
+                continue
+            result = dual_lower_bound(
+                min(point.accuracy, 1.0), family, threat, n, alpha, rng.child(tag)
+            )
+            tag += 1
+            if variant not in best or result.bound > best[variant].bound:
+                best[variant] = FamilyBest(result, point)
     return best
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DomainError
 
-_CHILD_FANOUT = 1024  # child tags must stay below _CHILD_FANOUT - 1
+_CHILD_FANOUT = 1024
+MAX_CHILDREN = _CHILD_FANOUT - 1  # child tags run 0 .. MAX_CHILDREN - 1
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,6 @@ class RandomStream:
 
     def child(self, tag: int) -> "RandomStream":
         """Derive an independent stream; distinct tags never collide."""
-        if not 0 <= tag < _CHILD_FANOUT - 1:
-            raise DomainError(f"child tag must be in [0, {_CHILD_FANOUT - 2}], got {tag}")
+        if not 0 <= tag < MAX_CHILDREN:
+            raise DomainError(f"child tag must be in [0, {MAX_CHILDREN - 1}], got {tag}")
         return RandomStream(self.seed, self.stream_id * _CHILD_FANOUT + tag + 1)

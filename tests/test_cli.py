@@ -166,6 +166,7 @@ class TestConfigValidation:
         ("certify", "'python' as classifier.command"), ("pareto", "pareto.grids"),
         ("pareto", "pareto.x0"), ("certify", "out"), ("certify", "threat.norm"),
         ("radius", "search.norm"), ("certify", "budget.alpha_mc"), ("certify", "threat.radius"),
+        ("pareto", "1,024 (variant, k) groups in pareto.grids"),
     ])
     def test_out_of_range_integer_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                      command, probe):
@@ -193,6 +194,10 @@ class TestConfigValidation:
                 probe.split(" as ")[0].replace("'", '"'))}
         elif probe == "pareto.grids":
             cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"grids": 5}}
+        elif probe.endswith("groups in pareto.grids"):
+            cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"grids": [
+                {"variant": "linf_pure", "k_values": np.linspace(0.0, 3.0, 1000).tolist()},
+                {"variant": "gaussian"}, {"variant": "mixed_norm", "k_values": [0.0] * 23}]}}
         elif probe == "pareto.x0":
             cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"dim": 3, "x0": [0.0, 0.0]}}
         elif probe == "out":

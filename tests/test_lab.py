@@ -11,10 +11,14 @@ from smoothcert import (
     SmoothingFamily,
     ThreatModel,
 )
+from smoothcert.classifiers import evaluate
+from smoothcert.discrepancy import log_ratio, shift_statistics, worst_delta
+from smoothcert.families import sample_chunks
 from smoothcert.lab import (
     FamilyBest,
     FamilyGrid,
     ParetoPoint,
+    _make_family,
     best_bound_by_family,
     bound_margin,
     frontier_weakly_dominates,
@@ -218,6 +222,36 @@ class TestParetoSweep:
         for p in points:
             assert 0.0 <= p.accuracy <= 1.0
             assert 0.0 <= p.robustness <= 1.0
+
+    @pytest.mark.parametrize("variant, norm", [
+        ("gaussian", "l2"), ("l2_power_tail", "l2"), ("gaussian", "linf"),
+        ("l2_power_tail", "linf"), ("laplacian", "l1"), ("l1_power_tail", "l1"),
+        ("mixed_norm", "linf"), ("linf_pure", "linf"),
+    ])
+    def test_unit_draw_serves_every_scale(self, variant, norm):
+        # each point of a (variant, k) group matches its own family drawn
+        # at its scale from the group's stream, at the worst shift's step
+        d, n, rng = 3, 4000, RandomStream(9)
+        truth = BallIndicator("l2", np.zeros(d), 0.8)
+        x0 = np.array([0.1, -0.2, 0.05])
+        threat = ThreatModel(norm, 0.1 if norm == "linf" else 0.3)
+        k_values = (0.0, 1.5)
+        points = pareto_sweep(truth, x0, threat, [FamilyGrid(variant, k_values, (0.2, 0.45, 1.7))],
+                              d, n, rng)
+        assert len(points) == (3 if variant in ("gaussian", "laplacian") else 6)
+        for p in points:
+            family = _make_family(variant, d, p.k, p.scale)
+            wd = worst_delta(threat, family)
+            hits, terms = 0, []
+            for block in sample_chunks(family, n, rng.child(k_values.index(p.k))):
+                hits += int(evaluate(truth, x0 + block).sum())
+                with np.errstate(over="ignore"):
+                    ratio = np.exp(log_ratio(shift_statistics(family, wd.rationale, block), wd.step))
+                terms.append(np.maximum(1.0 - ratio, 0.0))
+            robustness = float(np.concatenate(terms).mean())
+            assert round(p.accuracy * n) == hits
+            assert 0.0 < robustness < 1.0
+            assert abs(p.robustness - robustness) <= 1e-12 * robustness
 
 
 class TestFrontierComparison:
