@@ -4,7 +4,9 @@ The closed forms cover Gaussian smoothing under l2 threats, Laplacian
 smoothing under l1 threats, and the bilateral Gaussian radius. The
 pipelines estimate p0 from classifier samples (exact one-sided
 Clopper-Pearson), then maximize the dual bound exactly over lambda;
-a certificate is issued when the bound clears 1/2.
+a certificate is issued when the bound clears 1/2. Phi, Phi^-1 and the
+beta quantile are ``scipy.special``'s ``ndtr``, ``ndtri`` and
+``betaincinv``.
 
 Confidence accounting: the total budget splits into the p0 test and
 the Monte Carlo discrepancy stage (alpha_p0 + alpha_mc <= alpha_total),
@@ -17,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import betaincinv, ndtr, ndtri
 
 from .classifiers import BinomialEvidence, Classifier, success_counts
 from .discrepancy import (
@@ -29,11 +32,6 @@ from .discrepancy import (
 from .errors import DomainError
 from .families import SmoothingFamily
 from .rng import RandomStream
-from .special import (
-    reg_incomplete_beta_inverse,
-    std_normal_cdf,
-    std_normal_quantile,
-)
 
 Probability = float
 
@@ -137,7 +135,7 @@ def clopper_pearson_lower(evidence: BinomialEvidence, alpha: float) -> Probabili
         return 0.0
     if s == n:
         return alpha ** (1.0 / n)
-    return reg_incomplete_beta_inverse(s, n - s + 1.0, alpha)
+    return float(betaincinv(s, n - s + 1.0, alpha))
 
 
 def cohen_bound(p0: Probability, sigma: float, r: float) -> Probability:
@@ -156,7 +154,10 @@ def cohen_bound(p0: Probability, sigma: float, r: float) -> Probability:
         return 0.0
     if p0 == 1.0:
         return 1.0
-    return std_normal_cdf(std_normal_quantile(p0) - r / sigma)
+    z = ndtri(p0) - r / sigma
+    if math.isnan(z):  # r / sigma = inf / inf
+        raise DomainError(f"r / sigma is undefined at r={r}, sigma={sigma}")
+    return float(ndtr(z))
 
 
 def cohen_radius(p0: Probability, sigma: float) -> float:
@@ -172,7 +173,7 @@ def cohen_radius(p0: Probability, sigma: float) -> float:
         return -math.inf
     if p0 == 1.0:
         return math.inf
-    return sigma * std_normal_quantile(p0)
+    return sigma * float(ndtri(p0))
 
 
 def _teng_threshold(b: float, r: float) -> float:
@@ -225,7 +226,7 @@ def gaussian_bilateral_radius(pa: Probability, pb: Probability, sigma: float) ->
     for name, v in (("pa", pa), ("pb", pb)):
         if not 0.0 < v < 1.0:
             raise DomainError(f"{name} must be in (0, 1), got {v}")
-    return 0.5 * sigma * (std_normal_quantile(pa) - std_normal_quantile(pb))
+    return 0.5 * sigma * (float(ndtri(pa)) - float(ndtri(pb)))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from scipy.special import betainc, gammainc
 from .errors import DomainError, TransportError, UnsupportedError
 from .families import SmoothingFamily, sample_chunks
 from .rng import RandomStream
-from .special import log_gamma
 
 
 @dataclass(frozen=True)
@@ -396,9 +395,8 @@ def exact_smoothed_value(
         return 0.5 * inside_minus + 0.5 * inside_plus
 
     m = d - 1.0 - k
-    log_norm = 0.5 * (m - 1.0) * math.log(2.0) + (m + 1.0) * math.log(sigma) + log_gamma(
-        (m + 1.0) / 2.0
-    )
+    log_norm = (0.5 * (m - 1.0) * math.log(2.0) + (m + 1.0) * math.log(sigma)
+                + math.lgamma((m + 1.0) / 2.0))
     half = (d - 1.0) / 2.0
 
     def integrand(rho: float) -> float:

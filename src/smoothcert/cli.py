@@ -63,7 +63,7 @@ from .rng import MAX_CHILDREN, RandomStream
 
 COMMANDS = ("certify", "radius", "sample", "pareto", "verify")
 SEED_ENV_VAR = "SMOOTHCERT_SEED"
-RADIUS_CAP = 1e12  # threat and search radii; r^2 stays finite
+RADIUS_CAP = 1e12  # radii, coordinates and weights: r^2 and w . x stay finite
 MAX_COUNT = 10**9  # draws per stage
 MAX_WORKERS = 64
 # Up to 1e6 covers image sizes (CIFAR-10 is 3072, ImageNet 150,528) and
@@ -102,7 +102,9 @@ def _object(value, where: str) -> dict:
 
 
 def _finite(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    # unlike math.isfinite, this comparison does not raise on an int beyond the float range
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
         raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return float(value)
 
@@ -122,6 +124,15 @@ def _vector(value, where: str) -> np.ndarray:
     if arr.ndim != 1 or arr.dtype.kind not in "iuf" or not np.all(np.isfinite(arr)):
         raise ConfigError(f"{where} must be a list of finite numbers, got {value!r}")
     return arr.astype(float)
+
+
+def _in_range(value, low: float, high: float, where: str):
+    """``value``, a number or a vector, with every entry in [low, high]."""
+    flat = np.ravel(value)
+    outside = flat[(flat < low) | (flat > high)]
+    if outside.size:
+        raise ConfigError(f"{where} must be in [{low}, {high}], got {outside.tolist()[0]!r}")
+    return value
 
 
 def _of_type(kind: type, what: str) -> Callable:
@@ -170,8 +181,8 @@ def _section(section, table: dict[str, Key], where: str) -> dict:
                 out[key] = spec.default
             continue
         value = out[key] = _KINDS[spec.kind](section[key], f"{where}.{key}")
-        if spec.low is not None and not spec.low <= value <= spec.high:
-            raise ConfigError(f"{where}.{key} must be in [{spec.low}, {spec.high}], got {value!r}")
+        if spec.low is not None:
+            _in_range(value, spec.low, spec.high, f"{where}.{key}")
     return out
 
 
@@ -198,14 +209,15 @@ _TOP_LEVEL_KEYS = {
 _FAMILY = {"variant": _ANY, "dim": Key("integer", _REQUIRED, 1, MAX_DIM),
            "k": _NUMBER, "sigma": _NUMBER, "b": _NUMBER}
 _THREAT = {"norm": _ANY, "radius": Key("number", _REQUIRED, 0.0, RADIUS_CAP)}
+_POINT = Key("vector", _REQUIRED, -RADIUS_CAP, RADIUS_CAP)
 _BUDGET = {"alpha_total": Key("number", 1e-3), "alpha_p0": _NUMBER, "alpha_mc": _NUMBER}
 _COUNTS = {"n1": _COUNT, "n2": _COUNT}
 _INPUTS = {"vectors": Key("list", _OMIT), "file": Key("path", _OMIT)}
 _CLASSIFIERS = {
     "constant": (Constant, {"label": Key("integer", 1)}),
-    "ball": (BallIndicator, {"norm": Key("any", "l2"), "center": Key("vector"),
-                             "radius": Key("number")}),
-    "halfspace": (Halfspace, {"w": Key("vector"), "c": Key("number", 0.0)}),
+    "ball": (BallIndicator, {"norm": Key("any", "l2"), "center": _POINT,
+                             "radius": Key("number", _REQUIRED, -RADIUS_CAP, RADIUS_CAP)}),
+    "halfspace": (Halfspace, {"w": _POINT, "c": Key("number", 0.0, -RADIUS_CAP, RADIUS_CAP)}),
     "external": (ExternalClassifier, {
         "command": Key("command"),
         "batch_size": Key("integer", _OMIT, 1, MAX_BATCH),
@@ -229,7 +241,7 @@ _PARETO = {
     "truth": Key("object", _OMIT),
     "threat": Key("object", {"norm": "linf", "radius": 0.65}),
     "grids": Key("list", [{"variant": v} for v in ("l2_power_tail", "mixed_norm", "linf_pure")]),
-    "x0": Key("vector", _OMIT),
+    "x0": Key("vector", _OMIT, -RADIUS_CAP, RADIUS_CAP),
 }
 _GRID = {"variant": _ANY, "k_values": Key("vector", _OMIT), "scale_values": Key("vector", _OMIT)}
 # QuadratureGrid's own floor is 8 nodes per axis
@@ -294,7 +306,8 @@ def _load_inputs(section, dim: int) -> list[np.ndarray]:
             raise ConfigError(f"cannot read inputs.file: {exc}") from exc
     if not 1 <= len(vectors) <= MAX_INPUTS:
         raise ConfigError(f"inputs must hold 1 to {MAX_INPUTS} vectors, got {len(vectors)}")
-    rows = [_vector(v, f"inputs[{i}]") for i, v in enumerate(vectors)]
+    rows = [_in_range(_vector(v, f"inputs[{i}]"), -RADIUS_CAP, RADIUS_CAP, f"inputs[{i}]")
+            for i, v in enumerate(vectors)]
     for i, row in enumerate(rows):
         if row.shape != (dim,):
             raise ConfigError(f"inputs[{i}] has length {row.shape}, family dim is {dim}")
@@ -419,7 +432,7 @@ def _sample(top: dict) -> Job:
     def job(out: Path, config: dict) -> Report:
         batch = sample(family, n, RandomStream(top["seed"]))
         batch.to_csv(out / "samples.csv")
-        body: dict = {"n": n, "acceptance_rate": batch.acceptance_rate}
+        body: dict = {"n": n}
         try:
             stats = radius_stats(family)
             body["radius_stats"] = {
@@ -614,7 +627,7 @@ def _load_config_document(path: str | None) -> dict:
         doc = json.loads(text)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer of more than 4300 digits
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")

@@ -28,6 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import DomainError, UnsupportedError
 from .families import (
@@ -38,7 +39,6 @@ from .families import (
     sample_chunks,
 )
 from .rng import RandomStream
-from .special import std_normal_cdf
 
 THREAT_NORMS = ("l1", "l2", "linf")
 
@@ -434,7 +434,9 @@ def discrepancy_gaussian_closed_form(sigma: float, shift_norm: float, lam: float
         return max(lam - 1.0, 0.0)
     mid = sigma * math.log(lam) / shift_norm
     half = shift_norm / (2.0 * sigma)
-    return lam * std_normal_cdf(half + mid) - std_normal_cdf(mid - half)
+    if math.isnan(mid) or math.isnan(half):  # inf * 0 or inf / inf
+        raise DomainError(f"D is undefined at sigma={sigma}, shift norm={shift_norm}, lambda={lam}")
+    return lam * float(ndtr(half + mid)) - float(ndtr(mid - half))
 
 
 def discrepancy_laplace_closed_form(b: float, r: float, lam: float) -> float:
@@ -470,29 +472,31 @@ def discrepancy_laplace_closed_form(b: float, r: float, lam: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Resolution for the direct-integration oracle.
+    """Resolution of the d = 2 polar grid of the direct-integration oracle.
 
-    ``extent`` is the half-width L of the covered region (radius of the
-    polar disc at d = 2); None picks a family default that pushes the
-    truncated tail mass below 1e-9. The defaults keep the d = 2 oracle
-    within ~2e-6 of closed forms, 50x inside the 1e-4 contract.
+    The defaults keep the d = 2 oracle within ~2e-6 of closed forms, 50x
+    inside the 1e-4 contract.
     """
 
     n_radial: int = 768
     n_angular: int = 1280
-    n_axis: int = 224
-    extent: float | None = None
 
     def __post_init__(self) -> None:
-        if min(self.n_radial, self.n_angular, self.n_axis) < 8:
+        if min(self.n_radial, self.n_angular) < 8:
             raise DomainError("quadrature grid is too coarse to be meaningful")
-        if self.extent is not None and not self.extent > 0.0:
-            raise DomainError(f"extent must be > 0, got {self.extent}")
 
 
-def _default_extent(family: SmoothingFamily) -> float:
-    # Truncation error is bounded by lambda * pi_0(||z|| > L): Gaussian
-    # tails die by 8 sigma; Laplacian radial tails need ~30 scale units.
+# Cartesian midpoint nodes per axis at d = 3 (d = 1 takes 20,000)
+_N_AXIS = 224
+
+
+def _extent(family: SmoothingFamily) -> float:
+    """Half-width L of the covered region (radius of the polar disc at d = 2).
+
+    Truncation error is bounded by lambda * pi_0(||z|| > L), which this
+    pushes below 1e-9: Gaussian tails die by 8 sigma; Laplacian radial
+    tails need ~30 scale units.
+    """
     if family.variant in ("laplacian", "l1_power_tail"):
         return 30.0 * family.b
     if family.variant == "linf_pure" and family.dim == 2:
@@ -513,7 +517,7 @@ def _quadrature_polar_2d(
     computed once and each shifted kernel once per shift, and every
     pair goes through the same arithmetic as a table of one.
     """
-    radius = grid.extent if grid.extent is not None else _default_extent(family)
+    radius = _extent(family)
     # Quadratically graded radial mesh r = R u^2: the Jacobian turns the
     # r^(1-k) origin singularity of the area integrand into the smooth
     # factor u^(3-2k), so the midpoint rule keeps its full order.
@@ -540,12 +544,10 @@ def _quadrature_polar_2d(
     return values
 
 
-def _quadrature_cartesian(
-    family: SmoothingFamily, delta: np.ndarray, lam: float, grid: QuadratureGrid
-) -> float:
+def _quadrature_cartesian(family: SmoothingFamily, delta: np.ndarray, lam: float) -> float:
     d = family.dim
-    half = grid.extent if grid.extent is not None else _default_extent(family)
-    n = grid.n_axis if d == 3 else max(grid.n_axis, 20_000)
+    half = _extent(family)
+    n = _N_AXIS if d == 3 else 20_000
     axis = -half + (np.arange(n) + 0.5) * (2.0 * half / n)
     numer = 0.0
     denom = 0.0
@@ -580,9 +582,9 @@ def discrepancy_quadrature(
 
     The density is normalized numerically on the same grid, so the
     result is a pure ratio of midpoint sums. At d = 2 the integral is
-    taken in polar coordinates, which turns the r^-k origin singularity
-    into an integrable r^(1-k) factor; elsewhere a Cartesian midpoint
-    rule is used (cell centers never hit the origin exactly).
+    taken in polar coordinates on ``grid``, which turns the r^-k origin
+    singularity into an integrable r^(1-k) factor; elsewhere a Cartesian
+    midpoint rule is used (cell centers never hit the origin exactly).
     """
     _check_quadrature_args(family, lam)
     delta = np.asarray(delta, dtype=float)
@@ -594,7 +596,7 @@ def discrepancy_quadrature(
         return 0.0
     if family.dim == 2:
         return float(_quadrature_polar_2d(family, [delta], [lam], grid)[0, 0])
-    return _quadrature_cartesian(family, delta, lam, grid)
+    return _quadrature_cartesian(family, delta, lam)
 
 
 def _check_quadrature_args(family: SmoothingFamily, lam: float) -> None:

@@ -37,7 +37,6 @@ from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, SingularityError, UnsupportedError
 from .rng import RandomStream
-from .special import log_gamma
 
 VARIANTS = (
     "gaussian",
@@ -142,12 +141,10 @@ class SmoothingFamily:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """An n-by-d matrix of draws plus the stream that produced them."""
+    """An n-by-d matrix of draws from one family."""
 
     points: np.ndarray
     family: SmoothingFamily
-    seed: int
-    stream_id: int
     acceptance_rate = 1.0  # share of proposals kept: no sampler rejects
 
     def __post_init__(self) -> None:
@@ -385,12 +382,7 @@ def sample(family: SmoothingFamily, n: int, rng: RandomStream) -> SampleBatch:
     """
     if n < 1:
         raise DomainError(f"sample requires n >= 1, got {n}")
-    return SampleBatch(
-        points=_draw(family, n, rng.generator()),
-        family=family,
-        seed=rng.seed,
-        stream_id=rng.stream_id,
-    )
+    return SampleBatch(points=_draw(family, n, rng.generator()), family=family)
 
 
 def sample_chunks(
@@ -420,7 +412,7 @@ def sample_chunks(
 def _gaussian_radial_moments(sigma: float, m: float) -> RadiusStats:
     """Moments of the radius law r^m exp(-r^2 / (2 sigma^2)) on r > 0."""
     mode = sigma * math.sqrt(m) if m > 0.0 else 0.0
-    mean = sigma * math.sqrt(2.0) * math.exp(log_gamma((m + 2.0) / 2.0) - log_gamma((m + 1.0) / 2.0))
+    mean = sigma * math.sqrt(2.0) * math.exp(math.lgamma((m + 2.0) / 2.0) - math.lgamma((m + 1.0) / 2.0))
     variance = sigma**2 * (m + 1.0) - mean**2
     return RadiusStats(mode=mode, mean=mean, variance=max(0.0, variance))
 

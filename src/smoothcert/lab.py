@@ -15,6 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .classifiers import Classifier, evaluate
 from .discrepancy import (
@@ -356,8 +357,8 @@ def matched_mean_variance_ratios(dim: int = 100, reduction: float = 0.5) -> tupl
 
     Returns (k_star, variance ratio along the k curve, variance ratio
     along the sigma curve). The sigma curve is a scale family, so its
-    ratio is exactly reduction^2; k_star is found by bisection on the
-    continuous mean formula.
+    ratio is exactly reduction^2; k_star is the root of the continuous
+    mean formula, found by Brent's method.
     """
     if not 0.0 < reduction < 1.0:
         raise DomainError(f"reduction must be in (0, 1), got {reduction}")
@@ -367,16 +368,10 @@ def matched_mean_variance_ratios(dim: int = 100, reduction: float = 0.5) -> tupl
     def mean_at(k: float) -> float:
         return radius_stats(SmoothingFamily.l2_power_tail(dim, k, 1.0)).mean
 
-    lo, hi = 0.0, dim - 1.0 - 1e-9
+    hi = dim - 1.0 - 1e-9
     if mean_at(hi) > target:
         raise DomainError(f"mean reduction {reduction} unreachable at d={dim}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean_at(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    k_star = 0.5 * (lo + hi)
+    k_star = brentq(lambda k: mean_at(k) - target, 0.0, hi)
     var_k = radius_stats(SmoothingFamily.l2_power_tail(dim, k_star, 1.0)).variance
     return k_star, var_k / base.variance, reduction * reduction
 

@@ -64,6 +64,8 @@ class TestClopperPearson:
             BinomialEvidence(5, 4)
         with pytest.raises(DomainError):
             BinomialEvidence(-1, 4)
+        with pytest.raises(DomainError):
+            clopper_pearson_lower(BinomialEvidence(5, 10), 1.0)
 
 
 class TestCohenClosedForms:
@@ -88,6 +90,13 @@ class TestCohenClosedForms:
     def test_radius_saturation(self):
         assert cohen_radius(1.0, 1.0) == math.inf
         assert cohen_radius(0.0, 1.0) == -math.inf
+
+    def test_domain(self):
+        for p0 in (-0.1, 1.1, math.nan):
+            with pytest.raises(DomainError):
+                cohen_bound(p0, 1.0, 1.0)
+            with pytest.raises(DomainError):
+                cohen_radius(p0, 1.0)
 
     @given(
         st.floats(min_value=0.01, max_value=0.99),

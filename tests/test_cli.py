@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -119,7 +120,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("probe", [
         "missing family", "dim not a number", "sigma a string", "n1 not a number",
-        "missing inputs file", "nan in an input", "out not a path",
+        "missing inputs file", "nan in an input", "out not a path", "seed of 400 digits",
     ])
     def test_malformed_config_is_a_one_line_config_error(self, tmp_path, capsys, probe):
         cfg = certify_config(tmp_path / "o")
@@ -135,9 +136,19 @@ class TestConfigValidation:
             cfg["inputs"] = {"file": str(tmp_path / "absent.csv")}
         elif probe == "nan in an input":
             cfg["inputs"]["vectors"][0][2] = float("nan")
+        elif probe == "seed of 400 digits":
+            cfg["seed"] = 10**400
         else:
             cfg["out"] = 3
         assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+
+    def test_integer_past_the_parse_limit_is_a_config_error(self, tmp_path, capsys):
+        # Python refuses to parse an integer literal of more than 4300 digits
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 1' + "0" * 5000 + "}")
+        assert run_cli(["certify", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
 
@@ -167,6 +178,9 @@ class TestConfigValidation:
         ("pareto", "pareto.x0"), ("certify", "out"), ("certify", "threat.norm"),
         ("radius", "search.norm"), ("certify", "budget.alpha_mc"), ("certify", "threat.radius"),
         ("pareto", "1,024 (variant, k) groups in pareto.grids"),
+        ("certify", "classifier.center"), ("certify", "classifier.radius"),
+        ("certify", "classifier.w"), ("certify", "classifier.c"), ("certify", "inputs[0]"),
+        ("pareto", "1e300 in pareto.x0"),
     ])
     def test_out_of_range_integer_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                      command, probe):
@@ -208,6 +222,20 @@ class TestConfigValidation:
             cfg["search"] = {"norm": "l1"}
         elif probe == "budget.alpha_mc":
             cfg["budget"] = {"alpha_total": 0.99, "alpha_p0": 0.3, "alpha_mc": 0.6}
+        # coordinates, weights and radii are bounded so that squares and
+        # dot products stay finite
+        elif probe == "classifier.center":
+            cfg["classifier"] = {"kind": "ball", "center": [0.0, 0.0, 0.0, 1e300], "radius": 1.0}
+        elif probe == "classifier.radius":
+            cfg["classifier"] = {"kind": "ball", "center": [0.0] * 4, "radius": 1e300}
+        elif probe == "classifier.w":
+            cfg["classifier"] = {"kind": "halfspace", "w": [1e308, 0.0, 0.0, 0.0]}
+        elif probe == "classifier.c":
+            cfg["classifier"] = {"kind": "halfspace", "w": [1.0, 0.0, 0.0, 0.0], "c": -1e300}
+        elif probe == "inputs[0]":
+            cfg["inputs"]["vectors"][0][3] = -1e300
+        elif probe == "1e300 in pareto.x0":
+            cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"dim": 3, "x0": [0.0, 0.0, 1e300]}}
         else:
             cfg["threat"]["radius"] = 1e308
         assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
@@ -280,6 +308,8 @@ def _one_malformed_key(draw):
 
 
 class TestConfigFuzz:
+    # an overflow while labelling is a wrong label, so it fails the test
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(derandomize=True, max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=_one_malformed_key())
@@ -454,16 +484,6 @@ class TestSampleCommand:
         assert err.startswith("config error:") and "d=9, k=2.75" in err
         assert len(err.strip().splitlines()) == 1
 
-    def test_acceptance_telemetry(self, tmp_path):
-        out = tmp_path / "run"
-        cfg = {
-            "seed": 3, "workers": 1, "out": str(out), "n": 5000,
-            "family": {"variant": "mixed_norm", "dim": 5, "k": 2.0, "sigma": 1.0},
-        }
-        assert run_cli(["sample", "--config", write_config(tmp_path, cfg)]) == 0
-        result = json.loads((out / "result.json").read_text())
-        assert 0.0 < result["acceptance_rate"] <= 1.0
-
 
 class TestSeedEnvVar:
     def test_env_default(self, tmp_path, monkeypatch):
@@ -539,3 +559,13 @@ class TestParetoCommand:
         assert "mixed_norm_dominance" in result
         rows = (out / "pareto.csv").read_text().splitlines()
         assert rows[2].startswith("variant") or rows[2].startswith("mixed")
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs 0.3-0.7 s to import; only the first mixed_norm
+        # draw may load it, so every other run starts without it
+        code = "import sys, smoothcert.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True)
+        assert done.stdout.strip() == "False"

@@ -144,6 +144,10 @@ class TestGaussianClosedForm:
         b = discrepancy_gaussian_closed_form(2.0, 1.6, 1.7)
         assert abs(a - b) <= 1e-12
 
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            discrepancy_gaussian_closed_form(1.0, -1.0, 1.0)
+
 
 class TestLaplaceClosedForm:
     def test_branch_iii_zero(self):
