@@ -69,13 +69,15 @@ class ConfidenceBudget:
 
 @dataclass(frozen=True)
 class Certificate:
-    """End-to-end outcome of certifying one input."""
+    """End-to-end outcome of certifying one input.
+
+    ``dual`` is the stage-2 result, or None when the pipeline abstained
+    because p0_lower did not clear 1/2; status, bound and lambda* derive
+    from it.
+    """
 
     input_id: str
-    status: str  # certified | not_certified | abstain
     p0_lower: float
-    bound: float
-    lambda_star: float
     threat: ThreatModel
     family: SmoothingFamily
     budget: ConfidenceBudget
@@ -83,13 +85,19 @@ class Certificate:
     n2: int
     dual: DualBoundResult | None = field(repr=False, default=None)
 
-    def __post_init__(self) -> None:
-        if self.status not in (CERTIFIED, NOT_CERTIFIED, ABSTAIN):
-            raise DomainError(f"unknown certificate status {self.status!r}")
-        if self.bound > 1.0 + 1e-12:
-            raise DomainError(f"certificate bound {self.bound} exceeds 1")
-        if self.status == CERTIFIED and not self.bound > 0.5:
-            raise DomainError("certified certificate requires bound > 1/2")
+    @property
+    def bound(self) -> float:
+        return 0.0 if self.dual is None else min(self.dual.bound, 1.0)
+
+    @property
+    def lambda_star(self) -> float:
+        return 0.0 if self.dual is None else self.dual.lambda_star
+
+    @property
+    def status(self) -> str:
+        if self.dual is None:
+            return ABSTAIN
+        return CERTIFIED if self.bound > 0.5 else NOT_CERTIFIED
 
     @property
     def certified(self) -> bool:
@@ -111,9 +119,7 @@ class Certificate:
                 "alpha_mc": self.budget.alpha_mc,
             },
             "sample_counts": {"n1": self.n1, "n2": self.n2},
-            "d_mean": self.dual.d_mean if self.dual is not None else None,
-            "epsilon": self.dual.epsilon if self.dual is not None else None,
-            "std_error": self.dual.std_error if self.dual is not None else None,
+            **{name: getattr(self.dual, name, None) for name in ("d_mean", "epsilon", "std_error")},
         }
 
 
@@ -176,10 +182,6 @@ def cohen_radius(p0: Probability, sigma: float) -> float:
     return sigma * float(ndtri(p0))
 
 
-def _teng_threshold(b: float, r: float) -> float:
-    return 1.0 - 0.5 * math.exp(-r / b)
-
-
 def teng_bound(p0: Probability, b: float, r: float) -> float:
     """Laplacian/l1 closed-form lower bound, piecewise in p0.
 
@@ -195,24 +197,24 @@ def teng_bound(p0: Probability, b: float, r: float) -> float:
         raise DomainError(f"p0 must be in [0, 1], got {p0}")
     if p0 == 1.0:
         return 1.0
-    if p0 >= _teng_threshold(b, r):
+    if p0 >= 1.0 - 0.5 * math.exp(-r / b):
         return 1.0 - math.exp(r / b) * (1.0 - p0)
     return 0.5 * math.exp(-r / b - math.log(2.0 * (1.0 - p0)))
 
 
-def teng_radius(p0: Probability, b: float, cap: float = math.inf) -> float:
+def teng_radius(p0: Probability, b: float) -> float:
     """Certified l1 radius -b ln(2 (1 - p0)).
 
     Non-positive for p0 <= 1/2 (the not-certifiable signal); saturates
-    to ``cap`` as p0 -> 1.
+    to +inf at p0 = 1.
     """
     if not b > 0.0:
         raise DomainError(f"b must be > 0, got {b}")
     if not 0.0 <= p0 <= 1.0:
         raise DomainError(f"p0 must be in [0, 1], got {p0}")
     if p0 == 1.0:
-        return cap
-    return min(cap, -b * math.log(2.0 * (1.0 - p0)))
+        return math.inf
+    return -b * math.log(2.0 * (1.0 - p0))
 
 
 def gaussian_bilateral_radius(pa: Probability, pb: Probability, sigma: float) -> float:
@@ -233,27 +235,12 @@ def gaussian_bilateral_radius(pa: Probability, pb: Probability, sigma: float) ->
 # pipelines
 
 
-def _abstain_certificate(
-    input_id: str,
-    p0_lower: float,
-    threat: ThreatModel,
-    family: SmoothingFamily,
-    budget: ConfidenceBudget,
-    n1: int,
-    n2: int,
-) -> Certificate:
-    return Certificate(
-        input_id=input_id,
-        status=ABSTAIN,
-        p0_lower=p0_lower,
-        bound=0.0,
-        lambda_star=0.0,
-        threat=threat,
-        family=family,
-        budget=budget,
-        n1=n1,
-        n2=n2,
-    )
+def _p0_lower(classifier: Classifier, x0: np.ndarray, family: SmoothingFamily, n1: int,
+              budget: ConfidenceBudget, rng: RandomStream) -> float:
+    """Stage 1 of both pipelines: the level-alpha_p0 lower bound on p0 from
+    the classifier's successes on n1 draws from ``rng.child(0)``."""
+    evidence = success_counts(classifier, x0, family, n1, rng.child(0))
+    return clopper_pearson_lower(evidence, budget.alpha_p0)
 
 
 def certify(
@@ -275,25 +262,11 @@ def certify(
     Certified iff the bound exceeds 1/2; if the p0 bound itself cannot
     clear 1/2 the pipeline abstains without spending stage 2.
     """
-    evidence = success_counts(classifier, x0, family, n1, rng.child(0))
-    p0_lower = clopper_pearson_lower(evidence, budget.alpha_p0)
-    if p0_lower <= 0.5:
-        return _abstain_certificate(input_id, p0_lower, threat, family, budget, n1, n2)
-    dual = dual_lower_bound(p0_lower, family, threat, n2, budget.alpha_mc, rng.child(1))
-    bound = min(dual.bound, 1.0)
-    return Certificate(
-        input_id=input_id,
-        status=CERTIFIED if bound > 0.5 else NOT_CERTIFIED,
-        p0_lower=p0_lower,
-        bound=bound,
-        lambda_star=dual.lambda_star,
-        threat=threat,
-        family=family,
-        budget=budget,
-        n1=n1,
-        n2=n2,
-        dual=dual,
-    )
+    p0_lower = _p0_lower(classifier, x0, family, n1, budget, rng)
+    dual = None
+    if p0_lower > 0.5:
+        dual = dual_lower_bound(p0_lower, family, threat, n2, budget.alpha_mc, rng.child(1))
+    return Certificate(input_id, p0_lower, threat, family, budget, n1, n2, dual)
 
 
 def certified_radius_search(
@@ -311,14 +284,15 @@ def certified_radius_search(
 ) -> tuple[float, Certificate | None]:
     """Largest certified radius by bisection on r in [0, r_max].
 
-    The p0 bound is computed once (it does not depend on r) and one
-    ``noise_statistics`` of n2 draws (2 or 3 floats per row, drawn
+    Stage 1 runs once, as in ``certify`` (p0 does not depend on r), and
+    one ``noise_statistics`` of n2 draws (2 or 3 floats per row, drawn
     directly on the l1/l2 axis rays) is taken once, from one stream,
     and every probe reuses it: only the radius along the ray changes,
     and a probe costs O(n2). Every probe is a rigorous certificate at its own
     radius with the MC budget split across all probes, so the reported
     radius (snapped down to ``r_step`` if given) was itself certified,
-    not interpolated.
+    not interpolated. No certificate (None) when stage 1 abstains or
+    no probe certifies.
     """
     if not r_max > 0.0:
         raise DomainError(f"r_max must be > 0, got {r_max}")
@@ -326,8 +300,7 @@ def certified_radius_search(
         raise DomainError(f"iterations must be >= 1, got {iterations}")
     if r_step is not None and not r_step > 0.0:
         raise DomainError(f"r_step must be > 0, got {r_step}")
-    evidence = success_counts(classifier, x0, family, n1, rng.child(0))
-    p0_lower = clopper_pearson_lower(evidence, budget.alpha_p0)
+    p0_lower = _p0_lower(classifier, x0, family, n1, budget, rng)
     if p0_lower <= 0.5:
         return 0.0, None
 
@@ -340,25 +313,10 @@ def certified_radius_search(
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         threat = ThreatModel(norm=threat_norm, radius=mid)
-        dual = dual_lower_bound(
-            p0_lower, family, threat, n2, alpha_probe, dual_rng, stats=stats
-        )
-        bound = min(dual.bound, 1.0)
-        if bound > 0.5:
-            lo = mid
-            best = Certificate(
-                input_id="radius_search",
-                status=CERTIFIED,
-                p0_lower=p0_lower,
-                bound=bound,
-                lambda_star=dual.lambda_star,
-                threat=threat,
-                family=family,
-                budget=budget,
-                n1=n1,
-                n2=n2,
-                dual=dual,
-            )
+        dual = dual_lower_bound(p0_lower, family, threat, n2, alpha_probe, dual_rng, stats=stats)
+        cert = Certificate("radius_search", p0_lower, threat, family, budget, n1, n2, dual)
+        if cert.certified:
+            lo, best = mid, cert
         else:
             hi = mid
     radius = lo if best is not None else 0.0

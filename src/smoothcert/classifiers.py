@@ -65,6 +65,9 @@ class Constant:
         return np.full(points.shape[0], self.label, dtype=np.int8)
 
 
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # a smaller l2 norm may have underflowed
+
+
 @dataclass(frozen=True)
 class BallIndicator:
     """f(x) = 1 inside the closed ball of radius R around center."""
@@ -87,7 +90,14 @@ class BallIndicator:
     def labels(self, points: np.ndarray) -> np.ndarray:
         diff = points - self.center
         if self.norm == "l2":
-            dist = np.linalg.norm(diff, axis=1)
+            with np.errstate(over="ignore"):
+                dist = np.linalg.norm(diff, axis=1)
+                if not (dist.min(initial=np.inf) >= _SQRT_TINY and dist.max(initial=0.0) < np.inf):
+                    # squares overflowed or underflowed: redo those rows scaled by their max |entry|
+                    redo = ~(dist < np.inf) | (dist < _SQRT_TINY)
+                    scale = np.abs(diff[redo]).max(axis=1, initial=0.0)
+                    scale[~(scale > 0.0) | (scale == np.inf)] = 1.0
+                    dist[redo] = scale * np.linalg.norm(diff[redo] / scale[:, None], axis=1)
         else:
             dist = np.abs(diff).max(axis=1)
         return (dist <= self.radius).astype(np.int8)

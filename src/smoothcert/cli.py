@@ -26,7 +26,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .certify import (
 from .classifiers import BallIndicator, Classifier, Constant, ExternalClassifier, Halfspace
 from .discrepancy import QuadratureGrid, ThreatModel, worst_delta
 from .errors import ConfigError, DomainError, EngineError, TransportError, UnsupportedError
-from .families import SmoothingFamily, radius_stats, sample
+from .families import SmoothingFamily, radius_stats, sample_chunks
 from .lab import (
     CurvePoint,
     FamilyGrid,
@@ -232,7 +232,7 @@ _CLOSED_FORM = {"method": _ANY, "p0": _NUMBER, "pa": _NUMBER, "pb": _NUMBER,
                 "cap": Key("number", RADIUS_CAP)}
 _CLOSED_FORMS = {
     "cohen": (cohen_radius, ("p0", "sigma")),
-    "teng": (teng_radius, ("p0", "b", "cap")),
+    "teng": (teng_radius, ("p0", "b")),
     "bilateral": (gaussian_bilateral_radius, ("pa", "pb", "sigma")),
 }
 _PARETO = {
@@ -314,7 +314,7 @@ def _load_inputs(section, dim: int) -> list[np.ndarray]:
     return rows
 
 
-def _write_csv(path: Path, config: dict, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, config: dict, header: list[str], rows: Iterable[list]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(f"# engine_version={__version__}\n")
         fh.write(f"# config={json.dumps(config, sort_keys=True)}\n")
@@ -392,10 +392,10 @@ def _closed_form_radius(section) -> Job:
         if key not in values:
             raise ConfigError(f"missing required key {key!r} in closed_form")
     value = _build("closed_form", formula, **{key: values[key] for key in params})
-    cap = values["cap"]
-    saturated = not math.isfinite(value) or abs(value) >= cap
-    clamped = max(-cap, min(cap, value if math.isfinite(value) else math.copysign(cap, value)))
-    body = {"method": method, "radius": clamped, "certified": clamped > 0.0, "saturated": saturated}
+    cap = values["cap"]  # every formula saturates to +-inf
+    clamped = max(-cap, min(cap, value))
+    body = {"method": method, "radius": clamped, "certified": clamped > 0.0,
+            "saturated": abs(value) >= cap}
     return lambda out, config: (0, body, list(body), [list(body.values())])
 
 
@@ -430,8 +430,22 @@ def _sample(top: dict) -> Job:
     n = top["n"]
 
     def job(out: Path, config: dict) -> Report:
-        batch = sample(family, n, RandomStream(top["seed"]))
-        batch.to_csv(out / "samples.csv")
+        moments = []  # (rows, mean, sum of squared deviations) of each block's l2 norms
+
+        def rows():
+            for block in sample_chunks(family, n, RandomStream(top["seed"])):
+                norms = np.linalg.norm(block, axis=1)
+                mean = norms.mean()
+                moments.append((len(norms), float(mean), float(np.square(norms - mean).sum())))
+                yield from (row.tolist() for row in block)
+
+        _write_csv(out / "samples.csv", config, [f"z{i}" for i in range(family.dim)], rows())
+        count, mean, m2 = moments[0]
+        for m, block_mean, block_m2 in moments[1:]:  # Chan et al.'s pairwise update
+            delta = block_mean - mean
+            mean += delta * m / (count + m)
+            m2 += block_m2 + delta * delta * count * m / (count + m)
+            count += m
         body: dict = {"n": n}
         try:
             stats = radius_stats(family)
@@ -440,10 +454,7 @@ def _sample(top: dict) -> Job:
             }
         except EngineError:
             body["radius_stats"] = None
-        norms = np.linalg.norm(batch.points, axis=1)
-        return 0, body, ["n", "l2_norm_mean", "l2_norm_std"], [
-            [n, float(norms.mean()), float(norms.std())]
-        ]
+        return 0, body, ["n", "l2_norm_mean", "l2_norm_std"], [[n, mean, math.sqrt(m2 / n)]]
     return job
 
 

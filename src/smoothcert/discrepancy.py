@@ -153,6 +153,16 @@ class DualBoundResult:
 # worst-case shift
 
 
+# The ray of the worst shift per (threat norm, family variant): the
+# maximum of D over the threat set sits on it (see ``worst_delta``).
+_WORST_SHIFT = {
+    ("l1", "laplacian"): "L1Boundary", ("l1", "l1_power_tail"): "L1Boundary",
+    ("l2", "gaussian"): "L2Boundary", ("l2", "l2_power_tail"): "L2Boundary",
+    ("linf", "gaussian"): "LinfViaL2Equivalence", ("linf", "l2_power_tail"): "LinfViaL2Equivalence",
+    ("linf", "mixed_norm"): "LinfVertex", ("linf", "linf_pure"): "LinfVertex",
+}
+
+
 def worst_delta(threat: ThreatModel, family: SmoothingFamily) -> WorstDelta:
     """Resolve the shift maximizing D over the threat set.
 
@@ -163,40 +173,24 @@ def worst_delta(threat: ThreatModel, family: SmoothingFamily) -> WorstDelta:
     sqrt(d) * r. Anything else has no supported reduction.
     """
     d, r = family.dim, threat.radius
+    rationale = _WORST_SHIFT.get((threat.norm, family.variant))
+    if rationale is None:
+        raise UnsupportedError(
+            f"no worst-shift theorem for threat norm {threat.norm!r} with family "
+            f"{family.variant!r}; supported (norm, variant) pairs: {sorted(_WORST_SHIFT)}")
+    if rationale == "LinfVertex":
+        return WorstDelta(vector=np.full(d, r), rationale=rationale)
     axis = np.zeros(d)
-    if threat.norm == "l1" and family.variant in ("laplacian", "l1_power_tail"):
-        axis[0] = r
-        return WorstDelta(vector=axis, rationale="L1Boundary")
-    if threat.norm == "l2" and family.variant in ("gaussian", "l2_power_tail"):
-        axis[0] = r
-        return WorstDelta(vector=axis, rationale="L2Boundary")
-    if threat.norm == "linf":
-        if family.variant in ("mixed_norm", "linf_pure"):
-            return WorstDelta(vector=np.full(d, r), rationale="LinfVertex")
-        if family.variant in ("gaussian", "l2_power_tail"):
-            axis[0] = math.sqrt(d) * r
-            return WorstDelta(vector=axis, rationale="LinfViaL2Equivalence")
-    raise UnsupportedError(
-        f"no worst-shift theorem for threat norm {threat.norm!r} with "
-        f"family {family.variant!r}; supported pairings are (l1: laplacian/"
-        f"l1_power_tail), (l2: gaussian/l2_power_tail), (linf: mixed_norm/"
-        f"linf_pure, or gaussian/l2_power_tail via the sqrt(d) l2 reduction)"
-    )
+    axis[0] = math.sqrt(d) * r if rationale == "LinfViaL2Equivalence" else r
+    return WorstDelta(vector=axis, rationale=rationale)
 
 
 # ---------------------------------------------------------------------------
 # worst-shift statistics
 
-_RAY_VARIANTS = {
-    "L1Boundary": ("laplacian", "l1_power_tail"),
-    "L2Boundary": ("gaussian", "l2_power_tail"),
-    "LinfViaL2Equivalence": ("gaussian", "l2_power_tail"),
-    "LinfVertex": ("mixed_norm", "linf_pure"),
-}
-
 
 def _check_ray(family: SmoothingFamily, rationale: str) -> None:
-    if family.variant not in _RAY_VARIANTS.get(rationale, ()):
+    if (rationale, family.variant) not in {(ray, v) for (_, v), ray in _WORST_SHIFT.items()}:
         raise DomainError(f"no worst-shift ray {rationale!r} for family {family.variant!r}")
 
 

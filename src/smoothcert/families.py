@@ -24,12 +24,10 @@ use ratios in which the constants cancel.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import types
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -150,19 +148,6 @@ class SampleBatch:
     def __post_init__(self) -> None:
         if self.points.ndim != 2 or self.points.shape[0] < 1:
             raise DomainError("SampleBatch requires an n x d matrix with n >= 1")
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    def to_csv(self, path: str | Path) -> None:
-        """Write one row per sample; header is the dimension indices."""
-        path = Path(path)
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"z{i}" for i in range(self.points.shape[1])])
-            for row in self.points:
-                writer.writerow([repr(float(v)) for v in row])
 
 
 @dataclass(frozen=True)

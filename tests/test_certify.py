@@ -127,7 +127,7 @@ class TestTengClosedForms:
 
     def test_radius_examples(self):
         assert abs(teng_radius(0.75, 1.0) - math.log(2.0)) <= 1e-12
-        assert teng_radius(1.0, 1.0, cap=50.0) == 50.0
+        assert teng_radius(1.0, 1.0) == math.inf
         assert abs(teng_radius(0.9, 2.0) - 2.0 * teng_radius(0.9, 1.0)) <= 1e-12
         assert teng_radius(0.5, 1.0) == 0.0
         assert teng_radius(0.3, 1.0) < 0.0

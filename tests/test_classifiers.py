@@ -35,6 +35,15 @@ class TestSyntheticClassifiers:
         pts = np.array([[0.5, 0.0], [1.5, 0.0], [0.0, 1.0]])
         assert evaluate(clf, pts).tolist() == [1, 0, 1]  # boundary inclusive
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ball_l2_past_the_squares_range(self):
+        # the distance 2e200 squares past the float range, 1e-199 below it
+        far = BallIndicator("l2", np.full(4, 1e200), 1e300)
+        assert evaluate(far, np.zeros((1, 4))).tolist() == [1]
+        tiny = BallIndicator("l2", np.zeros(2), 1e-200)
+        pts = np.array([[1e-199, 0.0], [1e-200, 1e-200], [3e-201, 4e-201], [0.0, 0.0]])
+        assert evaluate(tiny, pts).tolist() == [0, 0, 1, 1]
+
     def test_ball_linf(self):
         clf = BallIndicator("linf", np.zeros(2), 1.0)
         pts = np.array([[0.9, 0.9], [1.1, 0.0]])

@@ -451,10 +451,33 @@ class TestSampleCommand:
         }
         assert run_cli(["sample", "--config", write_config(tmp_path, cfg)]) == 0
         rows = (out / "samples.csv").read_text().strip().splitlines()
-        assert rows[0] == "z0,z1,z2,z3,z4,z5"
-        assert len(rows) == 251
+        assert rows[0] == "# engine_version=0.1.0" and rows[1].startswith("# config=")
+        assert rows[2] == "z0,z1,z2,z3,z4,z5"
+        assert len(rows) == 253
         result = json.loads((out / "result.json").read_text())
         assert result["radius_stats"]["mode"] == pytest.approx(np.sqrt(3.0))
+
+    def test_streams_blocks(self, tmp_path, monkeypatch):
+        # three sample_chunks blocks: the file holds exactly their rows, and
+        # the norm moments combine across blocks
+        from smoothcert import RandomStream, SmoothingFamily, families, sample_chunks
+
+        monkeypatch.setattr(families, "_CHUNK_SCALARS", 6 * 100)
+        out = tmp_path / "run"
+        cfg = {
+            "seed": 3, "workers": 1, "out": str(out), "n": 250,
+            "family": {"variant": "l2_power_tail", "dim": 6, "k": 2.0, "sigma": 1.0},
+        }
+        assert run_cli(["sample", "--config", write_config(tmp_path, cfg)]) == 0
+        blocks = list(sample_chunks(SmoothingFamily.l2_power_tail(6, 2.0, 1.0), 250, RandomStream(3)))
+        assert len(blocks) == 3
+        expected = np.concatenate(blocks)
+        rows = (out / "samples.csv").read_text().strip().splitlines()[3:]
+        assert np.array_equal(np.array([[float(v) for v in row.split(",")] for row in rows]), expected)
+        summary = (out / "summary.csv").read_text().strip().splitlines()[3].split(",")
+        norms = np.linalg.norm(expected, axis=1)
+        assert float(summary[1]) == pytest.approx(norms.mean(), rel=1e-12)
+        assert float(summary[2]) == pytest.approx(norms.std(), rel=1e-12)
 
     def test_high_power_mixed_norm_draws(self, tmp_path):
         # (100, 60) starved the old rejection sampler, which exited 4
@@ -464,7 +487,7 @@ class TestSampleCommand:
             "family": {"variant": "mixed_norm", "dim": 100, "k": 60.0, "sigma": 1.0},
         }
         assert run_cli(["sample", "--config", write_config(tmp_path, cfg)]) == 0
-        assert len((out / "samples.csv").read_text().strip().splitlines()) == 101
+        assert len((out / "samples.csv").read_text().strip().splitlines()) == 103
 
     def test_sampler_setup_failure_exits_2(self, tmp_path, capsys, monkeypatch):
         # a (d, k) whose l-inf law cannot be inverted raises a DomainError

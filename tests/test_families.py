@@ -423,14 +423,3 @@ class TestMatchedSigma:
             matched_sigma(10, 9.0, 1.0)
         with pytest.raises(DomainError):
             matched_sigma(10, 9.5, 1.0)
-
-
-class TestSampleBatchExport:
-    def test_csv_roundtrip(self, tmp_path):
-        batch = sample(SmoothingFamily.gaussian(3, 1.0), 50, RandomStream(30))
-        path = tmp_path / "samples.csv"
-        batch.to_csv(path)
-        header, *rows = path.read_text().strip().splitlines()
-        assert header == "z0,z1,z2"
-        parsed = np.array([[float(v) for v in row.split(",")] for row in rows])
-        assert np.array_equal(parsed, batch.points)
