@@ -5,7 +5,7 @@ and serve as ground truth in tests and experiments. External models in
 any runtime are certified through a line-delimited stdio protocol:
 
     request:  "EVAL <n> <d>\\n" followed by n lines of d space-separated
-              decimal floats (shortest round-trip formatting)
+              decimal floats (17 significant digits, an exact round trip)
     response: n lines, each "0" or "1", in request order
 
 Only hard labels cross the boundary. A reference worker implementing
@@ -213,9 +213,10 @@ class ExternalClassifier:
 
     @staticmethod
     def _request(block: np.ndarray) -> bytes:
+        # 17 significant digits round-trip every finite double: %g is correctly rounded
         n, d = block.shape
-        row = " ".join(["%r"] * d) + "\n"
-        return (f"EVAL {n} {d}\n" + (row * n) % tuple(block.ravel().tolist())).encode()
+        row = b" ".join([b"%.17g"] * d) + b"\n"
+        return b"EVAL %d %d\n" % (n, d) + (row * n) % tuple(block.ravel().tolist())
 
     def _transfer(self, proc: subprocess.Popen, points: np.ndarray) -> list[bytes]:
         """Send ``points`` in batches and read one reply line per row.

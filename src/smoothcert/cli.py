@@ -229,7 +229,7 @@ _SEARCH = {"norm": Key("any", "l2"), "r_max": Key("number", _OMIT, 0.0, RADIUS_C
            "iterations": Key("integer", _OMIT, 1, MAX_ITERATIONS), "r_step": _NUMBER}
 _CLOSED_FORM = {"method": _ANY, "p0": _NUMBER, "pa": _NUMBER, "pb": _NUMBER,
                 "sigma": Key("number", 1.0), "b": Key("number", 1.0),
-                "cap": Key("number", RADIUS_CAP)}
+                "cap": Key("number", RADIUS_CAP, 0.0, RADIUS_CAP)}
 _CLOSED_FORMS = {
     "cohen": (cohen_radius, ("p0", "sigma")),
     "teng": (teng_radius, ("p0", "b")),

@@ -1,8 +1,12 @@
 import math
+import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 
 from smoothcert import (
@@ -22,6 +26,13 @@ from smoothcert import (
 )
 
 WORKER = [sys.executable, "-m", "smoothcert.eval_worker"]
+_MAX = sys.float_info.max
+# every finite double, with the edges of the format drawn often
+_DOUBLES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, _MAX, -_MAX,
+                     1e16, -2.0**53 - 2.0, 1e22, 123456789012345678.0, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 class TestSyntheticClassifiers:
@@ -297,8 +308,22 @@ class TestExternalClassifier:
         with pytest.raises(DomainError):
             evaluate(ext, np.zeros((2, 3)))
 
+    @settings(max_examples=300, deadline=None)
+    @given(block=hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 5)),
+                            elements=_DOUBLES))
+    def test_request_round_trips_every_double(self, block):
+        n, d = block.shape
+        header, *lines = ExternalClassifier._request(block).split(b"\n")
+        assert header == b"EVAL %d %d" % (n, d)
+        assert lines.pop() == b"" and len(lines) == n
+        rows = [line.split(b" ") for line in lines]
+        assert all(len(row) == d for row in rows)
+        parsed = np.array([[float(token) for token in row] for row in rows]).reshape(n, d)
+        # bit patterns, so that -0.0 must come back as -0.0
+        assert np.array_equal(parsed.view(np.uint64), block.view(np.uint64))
+
     def test_float_roundtrip_through_protocol(self):
-        # repr formatting must survive the wire exactly
+        # the request formatting must survive the wire exactly
         pts = np.array([[1e-17, -3.141592653589793], [2.2250738585072014e-308, 7.0]])
         threshold = 1e-17
         with ExternalClassifier(
@@ -306,3 +331,81 @@ class TestExternalClassifier:
         ) as ext:
             got = evaluate(ext, pts)
         assert got.tolist() == [1, 0]
+
+
+class TestReferenceWorker:
+    """``eval_worker`` labels equal the in-process classifiers' labels."""
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_constant(self, label):
+        pts = np.random.default_rng(5).normal(size=(700, 3))
+        with ExternalClassifier(WORKER + ["constant", "--label", str(label)], batch_size=128) as ext:
+            assert np.array_equal(evaluate(ext, pts), evaluate(Constant(label), pts))
+
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_ball_with_center_on_random_rows(self, norm):
+        center = np.array([0.5, -1.25, 2.0, 0.0])
+        pts = center + np.random.default_rng(6).normal(size=(3000, 4))
+        clf = BallIndicator(norm, center, 1.5)
+        command = WORKER + [f"ball-{norm}", "--radius", "1.5", "--center", "0.5,-1.25,2,0"]
+        with ExternalClassifier(command, batch_size=500) as ext:
+            got = evaluate(ext, pts)
+        assert 0 < got.sum() < len(pts)
+        assert np.array_equal(got, evaluate(clf, pts))
+
+    def test_ball_linf_on_the_boundary(self):
+        # the radius, and one ulp either side of it, in each coordinate in turn;
+        # each edge is within a factor 2 of its center coordinate, so edge - center is exact
+        center, radius = np.array([3.0, -5.0, 6.5]), 0.75
+        rows = []
+        for axis in range(3):
+            for sign in (1.0, -1.0):
+                edge = center[axis] + sign * radius
+                for value in (edge, np.nextafter(edge, center[axis]), np.nextafter(edge, sign * np.inf)):
+                    row = center.copy()
+                    row[axis] = value
+                    rows.append(row)
+        pts = np.array(rows)
+        expected = evaluate(BallIndicator("linf", center, radius), pts)
+        assert expected.tolist() == [1, 1, 0] * 6
+        command = WORKER + ["ball-linf", "--radius", repr(radius), "--center", "3,-5,6.5"]
+        with ExternalClassifier(command, batch_size=4) as ext:
+            assert np.array_equal(evaluate(ext, pts), expected)
+
+    def test_halfspace_with_w(self):
+        pts = np.random.default_rng(8).normal(size=(2500, 3))
+        clf = Halfspace(np.array([0.5, -2.0, 1.0]), -0.3)
+        with ExternalClassifier(WORKER + ["halfspace", "--w", "0.5,-2,1", "--c", "-0.3"],
+                                batch_size=300) as ext:
+            assert np.array_equal(evaluate(ext, pts), evaluate(clf, pts))
+
+    def test_halfspace_default_weight_is_e1(self):
+        pts = np.random.default_rng(9).normal(size=(400, 5))
+        with ExternalClassifier(WORKER + ["halfspace", "--c", "0.2"], batch_size=128) as ext:
+            got = evaluate(ext, pts)
+        assert np.array_equal(got, evaluate(Halfspace(np.eye(5)[0], 0.2), pts))
+
+    @pytest.mark.parametrize("args", [
+        ["ball-l2", "--radius", "1", "--center", "0,0"],
+        ["ball-linf", "--center", "0,0,0,0"],
+        ["halfspace", "--w", "1,0"],
+        ["halfspace", "--w", ""],
+    ])
+    def test_vector_of_the_wrong_length_is_rejected(self, args):
+        # the row 0 0 9 is 9 away from the origin: a truncated center would call it inside
+        done = subprocess.run(WORKER + args, input="EVAL 1 3\n0 0 9\n", capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.count("\n") == 1 and "d=3" in done.stderr
+        with ExternalClassifier(WORKER + args, timeout_ms=10_000) as ext:
+            with pytest.raises(TransportError):
+                evaluate(ext, np.array([[0.0, 0.0, 9.0]]))
+
+    @pytest.mark.parametrize("request_text", [
+        "EVL 1 2\n", "EVAL a 2\n", "EVAL 1 2\n1\n", "EVAL 1 2\nx 0\n",
+    ])
+    def test_malformed_request_is_one_stderr_line(self, request_text):
+        done = subprocess.run(WORKER + ["ball-linf"], input=request_text, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.count("\n") == 1, done.stderr

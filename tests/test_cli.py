@@ -180,7 +180,7 @@ class TestConfigValidation:
         ("pareto", "1,024 (variant, k) groups in pareto.grids"),
         ("certify", "classifier.center"), ("certify", "classifier.radius"),
         ("certify", "classifier.w"), ("certify", "classifier.c"), ("certify", "inputs[0]"),
-        ("pareto", "1e300 in pareto.x0"),
+        ("pareto", "1e300 in pareto.x0"), ("radius", "closed_form.cap"),
     ])
     def test_out_of_range_integer_is_a_config_error(self, tmp_path, capsys, monkeypatch,
                                                      command, probe):
@@ -236,6 +236,10 @@ class TestConfigValidation:
             cfg["inputs"]["vectors"][0][3] = -1e300
         elif probe == "1e300 in pareto.x0":
             cfg = {"seed": 1, "out": str(tmp_path / "o"), "pareto": {"dim": 3, "x0": [0.0, 0.0, 1e300]}}
+        elif probe == "closed_form.cap":
+            # a negative cap would clamp every radius to -cap > 0, a certificate
+            cfg = {"seed": 1, "out": str(tmp_path / "o"),
+                   "closed_form": {"method": "cohen", "p0": 0.3, "cap": -5}}
         else:
             cfg["threat"]["radius"] = 1e308
         assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
@@ -426,6 +430,13 @@ class TestCertifyCommand:
             },
         )
         assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 3
+
+    def test_worker_center_of_the_wrong_length_exits_3(self, tmp_path, capsys):
+        cfg = certify_config(tmp_path / "run", classifier={
+            "kind": "external", "timeout_ms": 10_000,
+            "command": [sys.executable, "-m", "smoothcert.eval_worker", "ball-l2", "--center", "0,0"]})
+        assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 3
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_external_loopback(self, tmp_path):
         out = tmp_path / "run"
