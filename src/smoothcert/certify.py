@@ -10,7 +10,9 @@ beta quantile are ``scipy.special``'s ``ndtr``, ``ndtri`` and
 
 Confidence accounting: the total budget splits into the p0 test and
 the Monte Carlo discrepancy stage (alpha_p0 + alpha_mc <= alpha_total),
-and the overall guarantee holds by the union bound.
+and the overall guarantee holds by the union bound, which needs no
+independence. So one stage-2 draw, whose DKW band covers every lambda,
+serves many inputs; their certificates are then dependent.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from scipy.special import betaincinv, ndtr, ndtri
 from .classifiers import BinomialEvidence, Classifier, success_counts
 from .discrepancy import (
     DualBoundResult,
+    ShiftStatistics,
     ThreatModel,
     dual_lower_bound,
     noise_statistics,
@@ -246,27 +249,26 @@ def _p0_lower(classifier: Classifier, x0: np.ndarray, family: SmoothingFamily, n
 def certify(
     classifier: Classifier,
     x0: np.ndarray,
-    family: SmoothingFamily,
     threat: ThreatModel,
     n1: int,
-    n2: int,
     budget: ConfidenceBudget,
     rng: RandomStream,
+    stats: ShiftStatistics,
     input_id: str = "x0",
 ) -> Certificate:
     """Certification of one input.
 
-    Stage 1 draws n1 noise samples, counts classifier successes, and
-    lower-bounds p0 at level alpha_p0. Stage 2 maximizes the dual bound
-    exactly over lambda with n2 fresh samples at level alpha_mc.
-    Certified iff the bound exceeds 1/2; if the p0 bound itself cannot
-    clear 1/2 the pipeline abstains without spending stage 2.
+    Stage 1 draws n1 samples from ``rng.child(0)``, counts classifier
+    successes, and lower-bounds p0 at level alpha_p0. Stage 2 maximizes
+    the dual bound over lambda on ``stats`` (the ``noise_statistics`` of
+    ``threat``'s worst shift) at level alpha_mc. Certified iff the bound
+    exceeds 1/2; if p0_lower cannot clear 1/2 the pipeline abstains.
     """
-    p0_lower = _p0_lower(classifier, x0, family, n1, budget, rng)
+    p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng)
     dual = None
     if p0_lower > 0.5:
-        dual = dual_lower_bound(p0_lower, family, threat, n2, budget.alpha_mc, rng.child(1))
-    return Certificate(input_id, p0_lower, threat, family, budget, n1, n2, dual)
+        dual = dual_lower_bound(p0_lower, threat, budget.alpha_mc, stats)
+    return Certificate(input_id, p0_lower, threat, stats.family, budget, n1, stats.n, dual)
 
 
 def certified_radius_search(
@@ -291,8 +293,8 @@ def certified_radius_search(
     and a probe costs O(n2). Every probe is a rigorous certificate at its own
     radius with the MC budget split across all probes, so the reported
     radius (snapped down to ``r_step`` if given) was itself certified,
-    not interpolated. No certificate (None) when stage 1 abstains or
-    no probe certifies.
+    not interpolated. Radius 0 and no certificate (None) when stage 1
+    abstains, no probe certifies, or the snap to ``r_step`` reaches 0.
     """
     if not r_max > 0.0:
         raise DomainError(f"r_max must be > 0, got {r_max}")
@@ -305,21 +307,18 @@ def certified_radius_search(
         return 0.0, None
 
     alpha_probe = budget.alpha_mc / iterations
-    dual_rng = rng.child(1)
     rationale = worst_delta(ThreatModel(norm=threat_norm, radius=r_max), family).rationale
-    stats = noise_statistics(family, rationale, n2, dual_rng)
+    stats = noise_statistics(family, rationale, n2, rng.child(1))
     lo, hi = 0.0, r_max
     best: Certificate | None = None
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         threat = ThreatModel(norm=threat_norm, radius=mid)
-        dual = dual_lower_bound(p0_lower, family, threat, n2, alpha_probe, dual_rng, stats=stats)
+        dual = dual_lower_bound(p0_lower, threat, alpha_probe, stats)
         cert = Certificate("radius_search", p0_lower, threat, family, budget, n1, n2, dual)
         if cert.certified:
             lo, best = mid, cert
         else:
             hi = mid
-    radius = lo if best is not None else 0.0
-    if r_step is not None and radius > 0.0:
-        radius = math.floor(radius / r_step) * r_step
-    return radius, best
+    radius = lo if r_step is None else math.floor(lo / r_step) * r_step
+    return (radius, best) if radius > 0.0 else (0.0, None)

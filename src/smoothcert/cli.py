@@ -41,7 +41,7 @@ from .certify import (
     teng_radius,
 )
 from .classifiers import BallIndicator, Classifier, Constant, ExternalClassifier, Halfspace
-from .discrepancy import QuadratureGrid, ThreatModel, worst_delta
+from .discrepancy import QuadratureGrid, ThreatModel, noise_statistics, worst_delta
 from .errors import ConfigError, DomainError, EngineError, TransportError, UnsupportedError
 from .families import SmoothingFamily, radius_stats, sample_chunks
 from .lab import (
@@ -354,7 +354,7 @@ def _closing(classifier: Classifier, work: Callable):
 def _certify(top: dict) -> Job:
     family = parse_family(top.get("family"))
     threat = parse_threat(top.get("threat"))
-    _build("threat", worst_delta, threat, family)
+    rationale = _build("threat", worst_delta, threat, family).rationale
     budget = parse_budget(top["budget"])
     counts = _section(top["counts"], _COUNTS, "counts")
     classifier = parse_classifier(top.get("classifier"), family.dim)
@@ -362,11 +362,14 @@ def _certify(top: dict) -> Job:
     root = RandomStream(top["seed"])
     workers = top["workers"]
 
-    def one(idx: int) -> Certificate:
-        return certify(classifier, inputs[idx], family, threat, counts["n1"], counts["n2"],
-                       budget, root.child(idx), input_id=f"input{idx}")
-
     def all_inputs() -> list[Certificate]:
+        # one stage-2 draw serves every input, on a stream no root.child(idx) reaches
+        stats = noise_statistics(family, rationale, counts["n2"], root.child(MAX_INPUTS))
+
+        def one(idx: int) -> Certificate:
+            return certify(classifier, inputs[idx], threat, counts["n1"], budget,
+                           root.child(idx), stats, input_id=f"input{idx}")
+
         # the external adapter is single-threaded per connection, so it
         # never enters the thread pool
         if workers > 1 and len(inputs) > 1 and not isinstance(classifier, ExternalClassifier):
@@ -393,7 +396,7 @@ def _closed_form_radius(section) -> Job:
             raise ConfigError(f"missing required key {key!r} in closed_form")
     value = _build("closed_form", formula, **{key: values[key] for key in params})
     cap = values["cap"]  # every formula saturates to +-inf
-    clamped = max(-cap, min(cap, value))
+    clamped = min(cap, max(-cap, value))  # max keeps -cap = -0.0 at a tie with 0.0
     body = {"method": method, "radius": clamped, "certified": clamped > 0.0,
             "saturated": abs(value) >= cap}
     return lambda out, config: (0, body, list(body), [list(body.values())])

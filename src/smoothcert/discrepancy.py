@@ -608,50 +608,43 @@ def _check_quadrature_args(family: SmoothingFamily, lam: float) -> None:
 
 def dual_lower_bound(
     p0_lower: float,
-    family: SmoothingFamily,
     threat: ThreatModel,
-    n: int,
     alpha_mc: float,
-    rng: RandomStream,
-    stats: ShiftStatistics | None = None,
+    stats: ShiftStatistics,
 ) -> DualBoundResult:
     """Maximize lambda * p0 - (D_hat(lambda) + lambda * eps) over all lambda >= 0.
 
-    With R = pi_delta / pi_0, D(lambda) = E (lambda - R)_+ is the
-    integral of the CDF of R from 0 to lambda. The one-sided DKW
-    inequality (Massart 1990) bounds that CDF above by the empirical
-    CDF plus eps = sqrt(ln(1/alpha_mc) / 2n) at every point at once
-    with probability >= 1 - alpha_mc, valid for alpha_mc <= 1/2.
-    Integrating, D(lambda) <= D_hat(lambda) + lambda * eps for every
-    lambda simultaneously, so the returned value is a valid lower bound
-    on the worst-case smoothed value at any lambda, however it was
-    chosen from the data (conditional on p0_lower being valid).
+    ``stats`` are the ``noise_statistics`` of n draws of ``stats.family``
+    on the worst-shift ray of ``threat``; the bound is a function of
+    them and draws nothing. With R = pi_delta / pi_0, D(lambda) =
+    E (lambda - R)_+ is the integral of the CDF of R from 0 to lambda.
+    The one-sided DKW inequality (Massart 1990) bounds that CDF above
+    by the empirical CDF plus eps = sqrt(ln(1/alpha_mc) / 2n) at every
+    point at once with probability >= 1 - alpha_mc, valid for
+    alpha_mc <= 1/2. Integrating, D(lambda) <= D_hat(lambda) +
+    lambda * eps for every lambda simultaneously, so the returned value
+    is a valid lower bound on the worst-case smoothed value at any
+    lambda, however it was chosen from the data (conditional on
+    p0_lower being valid). The band does not depend on p0_lower, so
+    at one threat one draw serves any number of p0_lower values (the
+    inputs of a run) on one event of probability >= 1 - alpha_mc.
 
     The empirical objective lambda * (p0 - eps) - D_hat(lambda) is
     concave and piecewise linear with slope p0 - eps - F_hat(lambda),
     so its smallest maximizer is the j-th smallest ratio,
     j = ceil(n (p0 - eps)); if p0 <= eps the bound is 0 at lambda = 0.
-    Cost: the ``noise_statistics`` of n draws (O(n) on the l1/l2 axis
-    rays, n full rows on the linf vertex ray), O(n) ratios and one O(n)
-    selection.
-
-    ``stats`` replaces the draw from ``rng``: the
-    ``noise_statistics(family, rationale, n, rng)`` of this threat's
-    worst-shift rationale, so that several calls (the probes of a
-    radius search) share one batch and see the ratios a fresh draw from
-    that stream would give.
+    Cost: O(n) ratios and one O(n) selection.
     """
     if not 0.0 < p0_lower <= 1.0:
         raise DomainError(f"p0_lower must be in (0, 1], got {p0_lower}")
     if not 0.0 < alpha_mc <= 0.5:
         raise DomainError(f"alpha_mc must be in (0, 1/2] for the DKW band, got {alpha_mc}")
-    wd = worst_delta(threat, family)
-    if stats is None:
-        stats = noise_statistics(family, wd.rationale, n, rng)
-    elif stats.family != family or stats.rationale != wd.rationale:
-        raise DomainError(f"stats must be taken for {family.variant} on the {wd.rationale} ray")
-    if stats.n != n:
-        raise DomainError(f"stats hold {stats.n} rows, expected n={n}")
+    wd = worst_delta(threat, stats.family)
+    if stats.rationale != wd.rationale:
+        raise DomainError(
+            f"stats were taken on the {stats.rationale} ray, the threat needs {wd.rationale}"
+        )
+    n = stats.n
     with np.errstate(over="ignore"):
         ratios = np.exp(log_ratio(stats, wd.step))
     slope = p0_lower - hoeffding_epsilon(n, 1.0, alpha_mc)

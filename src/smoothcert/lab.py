@@ -29,6 +29,7 @@ from .discrepancy import (
     discrepancy_quadrature,
     dual_lower_bound,
     log_ratio,
+    noise_statistics,
     shift_statistics,
     worst_delta,
 )
@@ -306,9 +307,8 @@ def best_bound_by_family(
             point = ParetoPoint(variant, k, scale, *estimate)
             if point.accuracy <= 0.0:
                 continue
-            result = dual_lower_bound(
-                min(point.accuracy, 1.0), family, threat, n, alpha, rng.child(tag)
-            )
+            stats = noise_statistics(family, worst_delta(threat, family).rationale, n, rng.child(tag))
+            result = dual_lower_bound(min(point.accuracy, 1.0), threat, alpha, stats)
             tag += 1
             if variant not in best or result.bound > best[variant].bound:
                 best[variant] = FamilyBest(result, point)

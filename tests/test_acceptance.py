@@ -37,6 +37,7 @@ from smoothcert import (
     dual_lower_bound,
     exact_smoothed_value,
     hoeffding_epsilon,
+    noise_statistics,
     teng_bound,
     worst_delta,
 )
@@ -57,6 +58,11 @@ P0_GRID = (0.6, 0.75, 0.9, 0.99)
 R_GRID = (0.1, 0.5, 1.0)
 
 
+def _stats(fam, threat, n, rng):
+    # the noise_statistics of n draws on the worst-shift ray of threat
+    return noise_statistics(fam, worst_delta(threat, fam).rationale, n, rng)
+
+
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
     suffix = f" | {detail}" if detail else ""
@@ -69,9 +75,9 @@ def test_criterion_1_gaussian_closed_form_recovery():
     worst_gap, all_ok = 0.0, True
     for i, p0 in enumerate(P0_GRID):
         for j, r in enumerate(R_GRID):
+            threat = ThreatModel("l2", r)
             res = dual_lower_bound(
-                p0, fam, ThreatModel("l2", r), 1_000_000, 1e-3,
-                RandomStream(1000 + 10 * i + j),
+                p0, threat, 1e-3, _stats(fam, threat, 1_000_000, RandomStream(1000 + 10 * i + j)),
             )
             target = cohen_bound(p0, 1.0, r)
             tol = res.epsilon + 3.0 * res.std_error
@@ -98,9 +104,9 @@ def test_criterion_2_laplacian_closed_form_recovery():
     for i, p0 in enumerate(P0_GRID):
         for j, r in enumerate(R_GRID):
             branches.add(1 if p0 >= 1.0 - 0.5 * math.exp(-r) else 2)
+            threat = ThreatModel("l1", r)
             res = dual_lower_bound(
-                p0, fam, ThreatModel("l1", r), 1_000_000, 1e-3,
-                RandomStream(2000 + 10 * i + j),
+                p0, threat, 1e-3, _stats(fam, threat, 1_000_000, RandomStream(2000 + 10 * i + j)),
             )
             target = teng_bound(p0, 1.0, r)
             tol = res.epsilon + 3.0 * res.std_error
@@ -164,11 +170,9 @@ def test_criterion_5_linf_l2_equivalence():
     all_ok = True
     for d in (4, 16):
         for fam in (SmoothingFamily.gaussian(d, 1.0), SmoothingFamily.l2_power_tail(d, 1.0, 1.0)):
-            a = dual_lower_bound(
-                0.9, fam, ThreatModel("linf", 0.1), 100_000, 1e-3, RandomStream(50),
-            )
-            b = dual_lower_bound(
-                0.9, fam, ThreatModel("l2", math.sqrt(d) * 0.1), 100_000, 1e-3, RandomStream(50),
+            a, b = (
+                dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 100_000, RandomStream(50)))
+                for threat in (ThreatModel("linf", 0.1), ThreatModel("l2", math.sqrt(d) * 0.1))
             )
             same = (
                 a.bound == b.bound
@@ -340,13 +344,14 @@ def test_criterion_9_end_to_end_soundness():
             fam = SmoothingFamily.l2_power_tail(d, k, sigma)
         big_r = 2.5 * sigma * math.sqrt(d)
         truth = BallIndicator("l2", np.zeros(d), big_r)
+        threat, rng = ThreatModel(norm, r), RandomStream(90).child(idx)
         cert = certify(
-            truth, np.zeros(d), fam, ThreatModel(norm, r),
-            n1=3000, n2=20_000, budget=budget, rng=RandomStream(90).child(idx),
+            truth, np.zeros(d), threat, n1=3000, budget=budget, rng=rng,
+            stats=_stats(fam, threat, 20_000, rng.child(1)),
         )
         if cert.certified:
             issued += 1
-            shift = worst_delta(ThreatModel(norm, r), fam).vector
+            shift = worst_delta(threat, fam).vector
             exact = exact_smoothed_value(truth, np.zeros(d), fam, shift)
             if exact <= 0.5:
                 unsound += 1

@@ -21,8 +21,10 @@ from smoothcert import (
     cohen_radius,
     dual_lower_bound,
     gaussian_bilateral_radius,
+    noise_statistics,
     teng_bound,
     teng_radius,
+    worst_delta,
 )
 from smoothcert.certify import ABSTAIN, CERTIFIED
 from _oracles import clopper_pearson_by_binomial_bisection
@@ -195,22 +197,27 @@ class TestConfidenceBudget:
             ConfidenceBudget(alpha_total=0.99, alpha_p0=0.3, alpha_mc=0.6)
 
 
+def _stats(fam, threat, n, rng):
+    # the noise_statistics of n draws on the worst-shift ray of threat
+    return noise_statistics(fam, worst_delta(threat, fam).rationale, n, rng)
+
+
 class TestCertifyPipeline:
     def test_constant_one_certifies(self):
-        fam = SmoothingFamily.gaussian(4, 1.0)
+        fam, threat, rng = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.5), RandomStream(1)
         cert = certify(
-            Constant(1), np.zeros(4), fam, ThreatModel("l2", 0.5),
-            n1=1000, n2=50_000, budget=ConfidenceBudget.split(0.002), rng=RandomStream(1),
+            Constant(1), np.zeros(4), threat, n1=1000, budget=ConfidenceBudget.split(0.002),
+            rng=rng, stats=_stats(fam, threat, 50_000, rng.child(1)),
         )
         assert abs(cert.p0_lower - 0.001 ** (1.0 / 1000.0)) <= 1e-12
         assert cert.status == CERTIFIED and cert.certified
         assert cert.bound > 0.5
 
     def test_constant_zero_abstains(self):
-        fam = SmoothingFamily.gaussian(4, 1.0)
+        fam, threat, rng = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.5), RandomStream(2)
         cert = certify(
-            Constant(0), np.zeros(4), fam, ThreatModel("l2", 0.5),
-            n1=500, n2=1000, budget=ConfidenceBudget.split(0.002), rng=RandomStream(2),
+            Constant(0), np.zeros(4), threat, n1=500, budget=ConfidenceBudget.split(0.002),
+            rng=rng, stats=_stats(fam, threat, 1000, rng.child(1)),
         )
         assert cert.status == ABSTAIN and not cert.certified
         assert cert.p0_lower == 0.0
@@ -219,31 +226,30 @@ class TestCertifyPipeline:
 
     def test_never_certifies_at_half(self):
         # halfspace through x0 gives p0 = 1/2 exactly
-        fam = SmoothingFamily.gaussian(3, 1.0)
+        fam, threat, rng = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.25), RandomStream(3)
         clf = Halfspace(np.array([1.0, 0.0, 0.0]), 0.0)
         cert = certify(
-            clf, np.zeros(3), fam, ThreatModel("l2", 0.25),
-            n1=2000, n2=5000, budget=ConfidenceBudget.split(0.01), rng=RandomStream(3),
+            clf, np.zeros(3), threat, n1=2000, budget=ConfidenceBudget.split(0.01),
+            rng=rng, stats=_stats(fam, threat, 5000, rng.child(1)),
         )
         assert not cert.certified
 
     def test_gaussian_consistency_with_cohen(self):
         # the dual engine reproduces the closed form applied to p0_lower
-        fam = SmoothingFamily.gaussian(5, 1.0)
+        fam, threat, rng = SmoothingFamily.gaussian(5, 1.0), ThreatModel("l2", 0.5), RandomStream(4)
         cert = certify(
-            Constant(1), np.zeros(5), fam, ThreatModel("l2", 0.5),
-            n1=100_000, n2=400_000, budget=ConfidenceBudget.split(0.002),
-            rng=RandomStream(4),
+            Constant(1), np.zeros(5), threat, n1=100_000, budget=ConfidenceBudget.split(0.002),
+            rng=rng, stats=_stats(fam, threat, 400_000, rng.child(1)),
         )
         target = cohen_bound(cert.p0_lower, 1.0, 0.5)
         tol = cert.dual.epsilon + 3.0 * cert.dual.std_error
         assert abs(cert.bound - target) <= tol
 
     def test_serialization_roundtrip(self):
-        fam = SmoothingFamily.gaussian(3, 1.0)
+        fam, threat, rng = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.2), RandomStream(5)
         cert = certify(
-            Constant(1), np.zeros(3), fam, ThreatModel("l2", 0.2),
-            n1=200, n2=2000, budget=ConfidenceBudget.split(0.01), rng=RandomStream(5),
+            Constant(1), np.zeros(3), threat, n1=200, budget=ConfidenceBudget.split(0.01),
+            rng=rng, stats=_stats(fam, threat, 2000, rng.child(1)),
         )
         payload = cert.to_dict()
         assert payload["certified"] is True
@@ -255,12 +261,12 @@ class TestCertifyPipeline:
         assert abs(payload["bound"] - (lam * p0 - payload["d_mean"] - payload["epsilon"])) <= 1e-12
 
     def test_dimension_mismatch_aborts(self):
-        fam = SmoothingFamily.gaussian(3, 1.0)
+        fam, threat, rng = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.2), RandomStream(6)
         clf = Halfspace(np.array([1.0, 0.0]), 0.0)  # d=2 classifier
         with pytest.raises(DomainError):
             certify(
-                clf, np.zeros(3), fam, ThreatModel("l2", 0.2),
-                n1=100, n2=100, budget=ConfidenceBudget.split(0.01), rng=RandomStream(6),
+                clf, np.zeros(3), threat, n1=100, budget=ConfidenceBudget.split(0.01),
+                rng=rng, stats=_stats(fam, threat, 100, rng.child(1)),
             )
 
 
@@ -314,8 +320,8 @@ class TestRadiusSearch:
         for _ in range(12):
             mid = 0.5 * (lo + hi)
             dual = dual_lower_bound(
-                cert.p0_lower, fam, ThreatModel("l2", mid), n2, budget.alpha_mc / 12,
-                rng.child(1),
+                cert.p0_lower, ThreatModel("l2", mid), budget.alpha_mc / 12,
+                noise_statistics(fam, "L2Boundary", n2, rng.child(1)),
             )
             if min(dual.bound, 1.0) > 0.5:
                 lo, best = mid, dual
@@ -336,6 +342,15 @@ class TestRadiusSearch:
         )
         assert cert is not None
         assert abs(radius / 0.05 - round(radius / 0.05)) <= 1e-9
+
+    def test_snap_to_zero_certifies_nothing(self):
+        # a step wider than the certified radius snaps it to 0: no certificate
+        # may stand beside radius 0
+        args = (Constant(1), np.zeros(3), SmoothingFamily.gaussian(3, 1.0), "l2", 4.0, 1000, 10_000,
+                ConfidenceBudget.split(0.002), RandomStream(1))
+        radius, cert = certified_radius_search(*args)
+        assert 0.0 < radius < 4.0 and cert.certified
+        assert certified_radius_search(*args, r_step=5.0) == (0.0, None)
 
     @pytest.mark.parametrize("r_step", [0.0, -0.05])
     def test_nonpositive_r_step_rejected(self, r_step):

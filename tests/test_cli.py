@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +68,15 @@ class TestRadiusClosedForm:
         assert code == 0
         result = json.loads((tmp_path / "o" / "result.json").read_text())
         assert result["saturated"] is True
+
+    def test_zero_cap_writes_positive_zero(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = {"command": "radius", "out": str(out),
+               "closed_form": {"method": "cohen", "p0": 0.9, "cap": 0}}
+        assert run_cli(["radius", "--config", write_config(tmp_path, cfg)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["radius"] == 0.0 and math.copysign(1.0, result["radius"]) == 1.0
+        assert result["certified"] is False and result["saturated"] is True
 
     def test_bilateral(self, tmp_path):
         code = run_cli(
@@ -394,6 +404,60 @@ class TestCertifyCommand:
         assert run_cli(["certify", "--config", path]) == 0
         assert (out / "result.json").read_bytes() == first
 
+    @pytest.mark.parametrize("inputs", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_draws_stage_two_once(self, tmp_path, monkeypatch, inputs, workers):
+        # stage 2 depends only on (family, threat): one draw of its statistics
+        # per run, straight from their law, however many inputs share it
+        from smoothcert import discrepancy
+
+        drawn: list[int] = []
+        real = discrepancy._direct_statistics
+
+        def counting(family, rationale, n, g):
+            drawn.append(n)
+            return real(family, rationale, n, g)
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the l2 ray needs no full rows")
+
+        monkeypatch.setattr(discrepancy, "_direct_statistics", counting)
+        monkeypatch.setattr(discrepancy, "sample_chunks", no_rows)
+        out = tmp_path / "run"
+        cfg = certify_config(out, workers=workers, inputs={"vectors": [[0.1 * i, 0.0, 0.0, 0.0]
+                                                                       for i in range(inputs)]})
+        assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 0
+        assert drawn == [20_000]
+        certs = json.loads((out / "result.json").read_text())["certificates"]
+        assert len(certs) == inputs and all(c["certified"] for c in certs)
+
+    def test_every_input_reads_the_shared_draw(self, tmp_path):
+        # each certificate is dual_lower_bound at its own p0_lower on the one
+        # draw of stream root.child(MAX_INPUTS); stage 1 of input idx draws on
+        # root.child(idx).child(0), so its p0_lower values are frozen here
+        from smoothcert import RandomStream, SmoothingFamily, ThreatModel, dual_lower_bound
+        from smoothcert.cli import MAX_INPUTS
+        from smoothcert.discrepancy import noise_statistics
+
+        out = tmp_path / "run"
+        cfg = certify_config(
+            out, workers=2,
+            classifier={"kind": "ball", "norm": "l2", "center": [0.0] * 4, "radius": 3.5},
+            inputs={"vectors": [[0.0] * 4, [1.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]]},
+        )
+        assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 0
+        certs = json.loads((out / "result.json").read_text())["certificates"]
+        assert [c["p0_lower"] for c in certs] == [
+            0.9717731028820938, 0.9298335327880004, 0.41908748773554694]
+        assert [c["status"] for c in certs] == ["certified", "certified", "abstain"]
+        threat = ThreatModel("l2", 0.5)
+        shared = noise_statistics(SmoothingFamily.gaussian(4, 1.0), "L2Boundary", 20_000,
+                                  RandomStream(7).child(MAX_INPUTS))
+        for cert in certs[:2]:
+            dual = dual_lower_bound(cert["p0_lower"], threat, cert["budget"]["alpha_mc"], shared)
+            assert [cert[k] for k in ("bound", "lambda_star", "d_mean", "epsilon", "std_error")] == [
+                min(dual.bound, 1.0), dual.lambda_star, dual.d_mean, dual.epsilon, dual.std_error]
+
     def test_flag_overrides(self, tmp_path):
         out = tmp_path / "run"
         cfg = certify_config(out)
@@ -556,6 +620,23 @@ class TestRadiusSearchCommand:
         result = json.loads((out / "result.json").read_text())
         assert result["radius"] > 0.5
         assert result["certificate"]["certified"] is True
+
+    def test_snap_to_zero_writes_no_certificate(self, tmp_path):
+        # r_step wider than the certified radius (about 1.9): radius 0, and
+        # no certified certificate beside it
+        out = tmp_path / "run"
+        cfg = {
+            "seed": 1, "workers": 1, "out": str(out),
+            "family": {"variant": "gaussian", "dim": 3, "sigma": 1.0},
+            "search": {"norm": "l2", "r_max": 4.0, "r_step": 5.0},
+            "counts": {"n1": 1000, "n2": 10000},
+            "budget": {"alpha_total": 0.002},
+            "classifier": {"kind": "constant", "label": 1},
+            "inputs": {"vectors": [[0.0, 0.0, 0.0]]},
+        }
+        assert run_cli(["radius", "--config", write_config(tmp_path, cfg)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert (result["radius"], result["certified"], result["certificate"]) == (0.0, False, None)
 
 
 class TestVerifyCommand:

@@ -228,18 +228,25 @@ class TestQuadrature:
             QuadratureGrid(n_radial=2)
 
 
+def _stats(fam, threat, n, rng):
+    # the noise_statistics of n draws on the worst-shift ray of threat
+    from smoothcert import noise_statistics
+
+    return noise_statistics(fam, worst_delta(threat, fam).rationale, n, rng)
+
+
 class TestDualLowerBound:
     def test_zero_radius_recovers_p0(self):
         # every ratio is exactly 1, so the empirical objective
         # lam (p0 - eps) - (lam - 1)_+ peaks at lam* = 1 with D_hat = 0
-        fam = SmoothingFamily.gaussian(4, 1.0)
-        res = dual_lower_bound(0.8, fam, ThreatModel("l2", 0.0), 20_000, 1e-3, RandomStream(7))
+        fam, threat = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.0)
+        res = dual_lower_bound(0.8, threat, 1e-3, _stats(fam, threat, 20_000, RandomStream(7)))
         assert res.lambda_star == 1.0 and res.d_mean == 0.0
         assert res.bound == 0.8 - hoeffding_epsilon(20_000, 1.0, 1e-3)
 
     def test_gaussian_recovery(self):
-        fam = SmoothingFamily.gaussian(6, 1.0)
-        res = dual_lower_bound(0.9, fam, ThreatModel("l2", 0.5), 200_000, 1e-3, RandomStream(8))
+        fam, threat = SmoothingFamily.gaussian(6, 1.0), ThreatModel("l2", 0.5)
+        res = dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 200_000, RandomStream(8)))
         from smoothcert import cohen_bound
 
         target = cohen_bound(0.9, 1.0, 0.5)
@@ -248,30 +255,31 @@ class TestDualLowerBound:
         assert res.bound <= target + 3.0 * res.std_error + 1e-9
 
     def test_p0_half_never_certifies(self):
-        fam = SmoothingFamily.gaussian(4, 1.0)
-        res = dual_lower_bound(0.5, fam, ThreatModel("l2", 0.25), 50_000, 1e-3, RandomStream(9))
+        fam, threat = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.25)
+        res = dual_lower_bound(0.5, threat, 1e-3, _stats(fam, threat, 50_000, RandomStream(9)))
         assert res.bound < 0.5
 
     def test_equivalence_bit_exact(self):
         for d in (4, 16):
             fam = SmoothingFamily.gaussian(d, 1.0)
-            a = dual_lower_bound(0.9, fam, ThreatModel("linf", 0.1), 50_000, 1e-3, RandomStream(10))
-            b = dual_lower_bound(
-                0.9, fam, ThreatModel("l2", math.sqrt(d) * 0.1), 50_000, 1e-3, RandomStream(10)
+            a, b = (
+                dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 50_000, RandomStream(10)))
+                for threat in (ThreatModel("linf", 0.1), ThreatModel("l2", math.sqrt(d) * 0.1))
             )
             assert a.bound == b.bound and a.lambda_star == b.lambda_star
             assert all(x.bound == y.bound for x, y in zip(a.trace, b.trace))
 
     def test_domain(self):
-        fam = SmoothingFamily.gaussian(3, 1.0)
+        fam, threat = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.1)
+        stats = _stats(fam, threat, 100, RandomStream(14))
         with pytest.raises(DomainError):
-            dual_lower_bound(0.0, fam, ThreatModel("l2", 0.1), 100, 1e-3, RandomStream(14))
+            dual_lower_bound(0.0, threat, 1e-3, stats)
         with pytest.raises(DomainError):
-            dual_lower_bound(1.5, fam, ThreatModel("l2", 0.1), 100, 1e-3, RandomStream(14))
+            dual_lower_bound(1.5, threat, 1e-3, stats)
         # the one-sided DKW band needs alpha <= 1/2
         with pytest.raises(DomainError):
-            dual_lower_bound(0.9, fam, ThreatModel("l2", 0.1), 100, 0.51, RandomStream(14))
-        dual_lower_bound(0.9, fam, ThreatModel("l2", 0.1), 100, 0.5, RandomStream(14))
+            dual_lower_bound(0.9, threat, 0.51, stats)
+        dual_lower_bound(0.9, threat, 0.5, stats)
 
 
 def _direct_d_mean(ratios: np.ndarray, lam: float) -> float:
@@ -280,10 +288,9 @@ def _direct_d_mean(ratios: np.ndarray, lam: float) -> float:
 
 
 def _drawn_ratios(fam, threat, n, rng):
-    from smoothcert.discrepancy import log_ratio, noise_statistics
+    from smoothcert.discrepancy import log_ratio
 
-    wd = worst_delta(threat, fam)
-    return np.exp(log_ratio(noise_statistics(fam, wd.rationale, n, rng), wd.step))
+    return np.exp(log_ratio(_stats(fam, threat, n, rng), worst_delta(threat, fam).step))
 
 
 def _objective(ratios: np.ndarray, lams: np.ndarray, p0: float, eps: float) -> np.ndarray:
@@ -296,7 +303,7 @@ class TestSortedSweep:
     def test_every_trace_point_matches_direct_sums(self):
         fam = SmoothingFamily.l2_power_tail(8, 2.0, 1.0)
         threat = ThreatModel("l2", 0.4)
-        res = dual_lower_bound(0.9, fam, threat, 30_000, 1e-3, RandomStream(40))
+        res = dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 30_000, RandomStream(40)))
         ratios = _drawn_ratios(fam, threat, 30_000, RandomStream(40))
         (pt,) = res.trace
         assert (pt.lam, pt.d_mean, pt.epsilon, pt.bound) == (
@@ -315,7 +322,7 @@ class TestSortedSweep:
         eps = hoeffding_epsilon(n, 1.0, alpha)
         ratios = np.sort(_drawn_ratios(fam, threat, n, RandomStream(41)))
         for p0, j in ((eps + 0.5 / n, 1), (0.9, math.ceil(n * (0.9 - eps)))):
-            res = dual_lower_bound(p0, fam, threat, n, alpha, RandomStream(41))
+            res = dual_lower_bound(p0, threat, alpha, _stats(fam, threat, n, RandomStream(41)))
             assert res.lambda_star == ratios[j - 1]
             direct = _direct_d_mean(ratios, res.lambda_star)
             assert abs(res.d_mean - direct) <= 1e-12 * direct
@@ -323,29 +330,19 @@ class TestSortedSweep:
 
     def test_zero_radius(self):
         # every ratio is exactly 1, so D_hat(lambda) = (lambda - 1)_+ and lambda* = 1
-        fam = SmoothingFamily.l2_power_tail(5, 1.0, 1.0)
-        res = dual_lower_bound(0.8, fam, ThreatModel("l2", 0.0), 10_000, 1e-3, RandomStream(42))
+        fam, threat = SmoothingFamily.l2_power_tail(5, 1.0, 1.0), ThreatModel("l2", 0.0)
+        res = dual_lower_bound(0.8, threat, 1e-3, _stats(fam, threat, 10_000, RandomStream(42)))
         assert res.lambda_star == 1.0
         assert res.trace[0].d_mean == 0.0
 
     def test_repeatable(self):
-        fam = SmoothingFamily.laplacian(3, 1.0)
+        fam, threat = SmoothingFamily.laplacian(3, 1.0), ThreatModel("l1", 0.5)
         a, b = (
-            dual_lower_bound(0.9, fam, ThreatModel("l1", 0.5), 20_000, 1e-3, RandomStream(43))
+            dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 20_000, RandomStream(43)))
             for _ in range(2)
         )
         assert a.trace == b.trace
         assert (a.bound, a.lambda_star, a.std_error) == (b.bound, b.lambda_star, b.std_error)
-
-    def test_draws_must_match_n(self):
-        from smoothcert.discrepancy import noise_statistics
-
-        fam = SmoothingFamily.gaussian(3, 1.0)
-        stats = noise_statistics(fam, "L2Boundary", 1_000, RandomStream(44))
-        with pytest.raises(DomainError):
-            dual_lower_bound(
-                0.9, fam, ThreatModel("l2", 0.1), 2_000, 1e-3, RandomStream(44), stats=stats
-            )
 
 
 class TestExactMaximizer:
@@ -357,7 +354,7 @@ class TestExactMaximizer:
     def test_beats_every_lambda_and_is_the_smallest_maximizer(self, norm, fam, r):
         n, alpha, p0 = 3_000, 1e-3, 0.93
         threat = ThreatModel(norm, r)
-        res = dual_lower_bound(p0, fam, threat, n, alpha, RandomStream(49))
+        res = dual_lower_bound(p0, threat, alpha, _stats(fam, threat, n, RandomStream(49)))
         ratios = _drawn_ratios(fam, threat, n, RandomStream(49))
         eps = hoeffding_epsilon(n, 1.0, alpha)
         lams = np.geomspace(1e-3, 1e3, 2_000)
@@ -367,9 +364,9 @@ class TestExactMaximizer:
         assert np.all(_objective(ratios, below, p0, eps) < res.bound - 1e-12)
 
     def test_p0_within_epsilon_gives_zero(self):
-        fam = SmoothingFamily.gaussian(3, 1.0)
+        fam, threat = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.3)
         eps = hoeffding_epsilon(3_000, 1.0, 1e-3)
-        res = dual_lower_bound(eps, fam, ThreatModel("l2", 0.3), 3_000, 1e-3, RandomStream(50))
+        res = dual_lower_bound(eps, threat, 1e-3, _stats(fam, threat, 3_000, RandomStream(50)))
         assert (res.bound, res.lambda_star, res.d_mean, res.epsilon) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -394,6 +391,24 @@ class TestDKWBand:
             prefix = np.concatenate(([0.0], np.cumsum(ratios)))
             d_hat = (below * lams - prefix[below]) / n
             covered += bool(np.all(true_d <= d_hat + lams * eps + 1e-12))
+        assert covered / reps >= 1.0 - alpha
+
+    def test_one_draw_serves_many_inputs(self):
+        # the band holds for every lambda, so one draw bounds the certificates
+        # of many inputs at once: on at least 1 - alpha of the draws, every
+        # p0's dual bound stays at or below its exact worst case, Cohen's bound
+        from smoothcert import cohen_bound
+
+        alpha, n, reps = 0.05, 2_000, 1_000
+        fam, threat = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.5)
+        p0s = np.linspace(0.55, 0.999, 20).tolist()
+        exact = [cohen_bound(p0, 1.0, 0.5) for p0 in p0s]
+        root = RandomStream(63)
+        covered = 0
+        for rep in range(reps):
+            stats = _stats(fam, threat, n, root.child(rep))
+            covered += all(dual_lower_bound(p0, threat, alpha, stats).bound <= bound + 1e-12
+                           for p0, bound in zip(p0s, exact))
         assert covered / reps >= 1.0 - alpha
 
 
@@ -453,9 +468,7 @@ class TestShiftStatistics:
         fam = SmoothingFamily.l2_power_tail(3, 1.0, 1.0)
         stats = noise_statistics(fam, "L2Boundary", 1_000, RandomStream(47))
         with pytest.raises(DomainError):
-            dual_lower_bound(
-                0.9, fam, ThreatModel("linf", 0.1), 1_000, 1e-3, RandomStream(47), stats=stats,
-            )
+            dual_lower_bound(0.9, ThreatModel("linf", 0.1), 1e-3, stats)
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_radius_search_holds_statistics_only(self, monkeypatch, blocks):
@@ -469,9 +482,9 @@ class TestShiftStatistics:
         seen = []
         real = certify.dual_lower_bound
 
-        def recording(*args, stats=None, **kwargs):
+        def recording(p0_lower, threat, alpha_mc, stats):
             seen.append(stats)
-            return real(*args, stats=stats, **kwargs)
+            return real(p0_lower, threat, alpha_mc, stats)
 
         monkeypatch.setattr(certify, "dual_lower_bound", recording)
         fam, n2 = SmoothingFamily.mixed_norm(5, 1.0, 1.0), 3_001
