@@ -29,8 +29,6 @@ from .discrepancy import (
     ShiftStatistics,
     ThreatModel,
     dual_lower_bound,
-    noise_statistics,
-    worst_delta,
 )
 from .errors import DomainError
 from .families import SmoothingFamily
@@ -271,51 +269,52 @@ def certify(
     return Certificate(input_id, p0_lower, threat, stats.family, budget, n1, stats.n, dual)
 
 
-def certified_radius_search(
-    classifier: Classifier,
-    x0: np.ndarray,
-    family: SmoothingFamily,
-    threat_norm: str,
-    r_max: float,
-    n1: int,
-    n2: int,
-    budget: ConfidenceBudget,
-    rng: RandomStream,
-    iterations: int = 12,
-    r_step: float | None = None,
-) -> tuple[float, Certificate | None]:
-    """Largest certified radius by bisection on r in [0, r_max].
-
-    Stage 1 runs once, as in ``certify`` (p0 does not depend on r), and
-    one ``noise_statistics`` of n2 draws (2 or 3 floats per row, drawn
-    directly on the l1/l2 axis rays) is taken once, from one stream,
-    and every probe reuses it: only the radius along the ray changes,
-    and a probe costs O(n2). Every probe is a rigorous certificate at its own
-    radius with the MC budget split across all probes, so the reported
-    radius (snapped down to ``r_step`` if given) was itself certified,
-    not interpolated. Radius 0 and no certificate (None) when stage 1
-    abstains, no probe certifies, or the snap to ``r_step`` reaches 0.
-    """
+def _check_search(r_max: float, iterations: int = 12, r_step: float | None = None) -> None:
     if not r_max > 0.0:
         raise DomainError(f"r_max must be > 0, got {r_max}")
     if iterations < 1:
         raise DomainError(f"iterations must be >= 1, got {iterations}")
     if r_step is not None and not r_step > 0.0:
         raise DomainError(f"r_step must be > 0, got {r_step}")
-    p0_lower = _p0_lower(classifier, x0, family, n1, budget, rng)
+
+
+def certified_radius_search(
+    classifier: Classifier,
+    x0: np.ndarray,
+    threat_norm: str,
+    r_max: float,
+    n1: int,
+    budget: ConfidenceBudget,
+    rng: RandomStream,
+    stats: ShiftStatistics,
+    iterations: int = 12,
+    r_step: float | None = None,
+) -> tuple[float, Certificate | None]:
+    """Largest certified radius by bisection on r in [0, r_max].
+
+    Stage 1 runs once, as in ``certify`` (p0 does not depend on r), and
+    every probe reads ``stats``, the ``noise_statistics`` of the worst
+    shift of ``threat_norm``: only the radius along the ray changes, so
+    the search draws nothing else and a probe costs O(n2). Each probe is
+    a rigorous certificate at its own radius with the MC budget split
+    across all probes, so the reported radius (snapped down to
+    ``r_step`` if given) was itself certified, not interpolated. Radius
+    0 and no certificate (None) when stage 1 abstains, no probe
+    certifies, or the snap to ``r_step`` reaches 0.
+    """
+    _check_search(r_max, iterations, r_step)
+    p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng)
     if p0_lower <= 0.5:
         return 0.0, None
 
     alpha_probe = budget.alpha_mc / iterations
-    rationale = worst_delta(ThreatModel(norm=threat_norm, radius=r_max), family).rationale
-    stats = noise_statistics(family, rationale, n2, rng.child(1))
     lo, hi = 0.0, r_max
     best: Certificate | None = None
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
         threat = ThreatModel(norm=threat_norm, radius=mid)
         dual = dual_lower_bound(p0_lower, threat, alpha_probe, stats)
-        cert = Certificate("radius_search", p0_lower, threat, family, budget, n1, n2, dual)
+        cert = Certificate("radius_search", p0_lower, threat, stats.family, budget, n1, stats.n, dual)
         if cert.certified:
             lo, best = mid, cert
         else:

@@ -34,6 +34,7 @@ from . import __version__
 from .certify import (
     Certificate,
     ConfidenceBudget,
+    _check_search,
     certified_radius_search,
     certify,
     cohen_radius,
@@ -409,17 +410,19 @@ def _radius(top: dict) -> Job:
     search = _section(top["search"], _SEARCH, "search")
     norm = search.pop("norm")
     r_max = search.pop("r_max", 4.0 * family.scale)
-    _build("search.norm", worst_delta, _build("search", ThreatModel, norm, r_max), family)
+    _build("search", _check_search, r_max, **search)
+    rationale = _build("search.norm", lambda: worst_delta(ThreatModel(norm, r_max), family)).rationale
     budget = parse_budget(top["budget"])
     counts = _section(top["counts"], _COUNTS, "counts")
     classifier = parse_classifier(top.get("classifier"), family.dim)
     # the search certifies the first input only
     x0 = _load_inputs(top.get("inputs"), family.dim)[0]
+    root = RandomStream(top["seed"])
 
     def job(out: Path, config: dict) -> Report:
         radius, cert = _closing(classifier, lambda: certified_radius_search(
-            classifier, x0, family, norm, r_max, counts["n1"], counts["n2"], budget,
-            RandomStream(top["seed"]), **search,
+            classifier, x0, norm, r_max, counts["n1"], budget, root,
+            noise_statistics(family, rationale, counts["n2"], root.child(1)), **search,
         ))
         body = {"radius": radius, "certified": radius > 0.0,
                 "certificate": cert.to_dict() if cert is not None else None}
@@ -470,16 +473,18 @@ def _pareto(top: dict) -> Job:
     x0 = section.get("x0", np.zeros(dim))
     if x0.shape != (dim,):
         raise ConfigError(f"pareto.x0 has length {x0.shape}, pareto.dim is {dim}")
-    grids = []
+    grids, groups = [], []
     for i, g in enumerate(section["grids"]):
         grid = _section(g, _GRID, f"pareto.grids[{i}]")
         k_values = grid.get("k_values", np.linspace(0.0, min(3.5, dim - 1.5), 8))
         scale_values = grid.get("scale_values", np.geomspace(0.05, 2.0, 10))
         grids.append(FamilyGrid(grid["variant"], tuple(k_values.tolist()),
                                 tuple(scale_values.tolist())))
-    groups = len(sweep_groups(grids))
-    if groups > MAX_CHILDREN:  # each (variant, k) group draws on one child stream
-        raise ConfigError(f"pareto.grids has {groups} (variant, k) groups, at most {MAX_CHILDREN}")
+        groups += _build(f"pareto.grids[{i}]", sweep_groups, grids[-1:], dim)
+    if len(groups) > MAX_CHILDREN:  # each (variant, k) group draws on one child stream
+        raise ConfigError(f"pareto.grids has {len(groups)} (variant, k) groups, at most {MAX_CHILDREN}")
+    for family, _, _ in groups:
+        _build("pareto.threat", worst_delta, threat, family)
 
     def job(out: Path, config: dict) -> Report:
         # one EVAL adapter serves one thread at a time, as in certify

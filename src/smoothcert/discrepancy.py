@@ -5,14 +5,13 @@ Computes the bounded-function discrepancy
     D(lambda) = integral (lambda * pi_0(z) - pi_delta(z))_+ dz
               = E_{z ~ pi_0} (lambda - pi_delta(z) / pi_0(z))_+
 
-three independent ways: Monte Carlo with a rigorous one-sided error
-(the production path, any family and dimension), closed forms for
-Gaussian and Laplacian smoothing (oracles), and direct quadrature at
-d <= 3 (oracle). The production path needs a draw only through the
-scalars that fix its ratio on the worst-shift ray: on the l1/l2 axis
-rays it draws those from their exact joint law in O(n), and on the
-linf vertex ray it reduces full rows. On top of it sits the dual
-lower bound
+three ways: the one Monte Carlo estimator, with a rigorous one-sided
+error, which issues every certificate (``discrepancy_mc`` at one
+lambda); closed-form oracles for Gaussian and Laplacian smoothing; and
+a quadrature oracle at d <= 3. The estimator draws only the scalars
+that fix the ratio on the worst-shift ray: from their exact joint law
+in O(n) on the l1/l2 axis rays, by reducing full rows on the linf
+vertex ray. On top of it sits the dual lower bound
 
     max over lambda >= 0 of { lambda * p0 - (D_hat(lambda) + lambda * eps) }
 
@@ -34,7 +33,6 @@ from .errors import DomainError, UnsupportedError
 from .families import (
     SmoothingFamily,
     _log_kernel_batch,
-    _log_ratio_batch,
     _nonzero_radius,
     sample_chunks,
 )
@@ -382,12 +380,13 @@ def discrepancy_mc(
     alpha: float,
     rng: RandomStream,
 ) -> DiscrepancyEstimate:
-    """Monte Carlo estimate of D(lambda) at shift delta.
+    """Monte Carlo estimate of D(lambda) at a shift on the family's worst-shift ray.
 
-    Draws n i.i.d. points from pi_0 (stream ``rng.child(0)``) and averages
-    (lambda - pi_delta(z)/pi_0(z))_+, whose summands are bounded in
-    [0, lambda]; the one-sided Hoeffding half-width therefore covers
-    the true D at level 1 - alpha.
+    ``delta`` must be r * e1 (l1/l2 families) or r * (1, ..., 1)
+    (mixed_norm, linf_pure). As for a certificate, the ratios are the
+    ``log_ratio`` at r of the ``noise_statistics`` of n draws from
+    ``rng``; the summands (lambda - ratio)_+ lie in [0, lambda], so the
+    one-sided Hoeffding half-width covers the true D at level 1 - alpha.
     """
     if n < 1:
         raise DomainError(f"discrepancy_mc requires n >= 1, got {n}")
@@ -398,11 +397,13 @@ def discrepancy_mc(
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (family.dim,):
         raise DomainError(f"delta must have length {family.dim}, got shape {delta.shape}")
-    with np.errstate(over="ignore", divide="ignore"):
-        ratios = np.concatenate([
-            np.exp(_log_ratio_batch(family, block, delta))
-            for block in sample_chunks(family, n, rng.child(0))
-        ])
+    # the family's first ray in the worst-shift table (both l2 rays draw alike)
+    rationale = next(ray for (_, v), ray in _WORST_SHIFT.items() if v == family.variant)
+    direction = np.ones(family.dim) if rationale == "LinfVertex" else np.eye(1, family.dim)[0]
+    if not np.array_equal(delta, delta[0] * direction):
+        raise DomainError(f"delta must be r times the {rationale} direction of {family.variant!r}")
+    with np.errstate(over="ignore"):
+        ratios = np.exp(log_ratio(noise_statistics(family, rationale, n, rng), float(delta[0])))
     return _estimate(ratios, lam, alpha)
 
 

@@ -70,25 +70,24 @@ class ParetoPoint:
 
 
 def _make_family(variant: str, dim: int, k: float, scale: float) -> SmoothingFamily:
-    if variant in ("gaussian", "l2_power_tail", "linf_pure", "mixed_norm"):
-        if variant == "gaussian":
-            return SmoothingFamily.gaussian(dim, scale)
-        return SmoothingFamily(variant, dim, k=k, sigma=scale)
-    if variant == "laplacian":
-        return SmoothingFamily.laplacian(dim, scale)
-    return SmoothingFamily(variant, dim, k=k, b=scale)
+    scale_key = "b" if variant in ("laplacian", "l1_power_tail") else "sigma"
+    return SmoothingFamily(variant, dim, k=k, **{scale_key: scale})
 
 
-def sweep_groups(grids: list[FamilyGrid]) -> list[tuple[str, float, tuple[float, ...]]]:
-    """The (variant, k, scales) groups of a sweep, one draw each.
+def sweep_groups(
+    grids: list[FamilyGrid], dim: int
+) -> list[tuple[SmoothingFamily, float, tuple[float, ...]]]:
+    """The (unit-scale family, k, scales) groups of a sweep, one draw each.
 
-    gaussian and laplacian take no k, so each makes one group.
+    Builds the family of every (k, scale) point, so a bad grid raises
+    here. gaussian and laplacian take no k, so each makes one group.
     """
-    return [
-        (grid.variant, k, grid.scale_values)
-        for grid in grids
-        for k in (grid.k_values if grid.variant not in ("gaussian", "laplacian") else (0.0,))
-    ]
+    groups = []
+    for grid in grids:
+        for k in (grid.k_values if grid.variant not in ("gaussian", "laplacian") else (0.0,)):
+            unit, *_ = [_make_family(grid.variant, dim, k, s) for s in (1.0, *grid.scale_values)]
+            groups.append((unit, k, grid.scale_values))
+    return groups
 
 
 def _sweep_point(
@@ -167,26 +166,22 @@ def pareto_sweep(
     the result is independent of worker scheduling.
     """
     x0 = np.asarray(x0, dtype=float)
-    # every family, worst shift and stream is built here, so a bad grid
+    # every family and worst shift is built here, so a bad grid or threat
     # fails before any draw or thread
-    groups: list[tuple[SmoothingFamily, float, tuple[float, ...], RandomStream]] = []
-    for variant, k, scales in sweep_groups(grids):
-        for scale in scales:
-            _make_family(variant, dim, k, scale)
-        family = _make_family(variant, dim, k, 1.0)
+    groups = sweep_groups(grids, dim)
+    for family, _, _ in groups:
         worst_delta(threat, family)
-        groups.append((family, k, scales, rng.child(len(groups))))
 
-    def one(group: tuple) -> list[ParetoPoint]:
-        family, k, scales, stream = group
-        estimates = _sweep_point(truth, x0, threat, family, scales, n, stream)
+    def one(index: int) -> list[ParetoPoint]:
+        family, k, scales = groups[index]
+        estimates = _sweep_point(truth, x0, threat, family, scales, n, rng.child(index))
         return [ParetoPoint(family.variant, k, s, *e) for s, e in zip(scales, estimates)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = [p for points in pool.map(one, groups) for p in points]
+            raw = [p for points in pool.map(one, range(len(groups))) for p in points]
     else:
-        raw = [p for group in groups for p in one(group)]
+        raw = [p for index in range(len(groups)) for p in one(index)]
     out: list[ParetoPoint] = []
     for p in raw:
         dominated = any(
@@ -298,20 +293,19 @@ def best_bound_by_family(
     x0 = np.asarray(x0, dtype=float)
     best: dict[str, FamilyBest] = {}
     tag = 0
-    for variant, k, scales in sweep_groups(grids):
-        unit = _make_family(variant, dim, k, 1.0)
+    for unit, k, scales in sweep_groups(grids, dim):
         for scale in scales:
-            family = _make_family(variant, dim, k, scale)
+            family = _make_family(unit.variant, dim, k, scale)
             [estimate] = _sweep_point(truth, x0, threat, unit, (scale,), n, rng.child(tag))
             tag += 1
-            point = ParetoPoint(variant, k, scale, *estimate)
+            point = ParetoPoint(unit.variant, k, scale, *estimate)
             if point.accuracy <= 0.0:
                 continue
             stats = noise_statistics(family, worst_delta(threat, family).rationale, n, rng.child(tag))
             result = dual_lower_bound(min(point.accuracy, 1.0), threat, alpha, stats)
             tag += 1
-            if variant not in best or result.bound > best[variant].bound:
-                best[variant] = FamilyBest(result, point)
+            if point.variant not in best or result.bound > best[point.variant].bound:
+                best[point.variant] = FamilyBest(result, point)
     return best
 
 

@@ -272,11 +272,11 @@ class TestCertifyPipeline:
 
 class TestRadiusSearch:
     def test_radius_close_to_cohen(self):
-        fam = SmoothingFamily.gaussian(4, 1.0)
+        fam, rng = SmoothingFamily.gaussian(4, 1.0), RandomStream(10)
         radius, cert = certified_radius_search(
-            Constant(1), np.zeros(4), fam, "l2", r_max=4.0,
-            n1=2000, n2=50_000,
-            budget=ConfidenceBudget.split(0.002), rng=RandomStream(10),
+            Constant(1), np.zeros(4), "l2", r_max=4.0, n1=2000,
+            budget=ConfidenceBudget.split(0.002), rng=rng,
+            stats=noise_statistics(fam, "L2Boundary", 50_000, rng.child(1)),
         )
         assert cert is not None and cert.certified
         analytic = cohen_radius(cert.p0_lower, 1.0)
@@ -309,8 +309,8 @@ class TestRadiusSearch:
         n2, budget, rng = 20_000, ConfidenceBudget.split(0.002), RandomStream(13)
         monkeypatch.setattr(families, "_CHUNK_SCALARS", fam.dim * -(-n2 // blocks))
         radius, cert = certified_radius_search(
-            Constant(1), np.zeros(6), fam, "l2", r_max=4.0, n1=2000, n2=n2,
-            budget=budget, rng=rng,
+            Constant(1), np.zeros(6), "l2", r_max=4.0, n1=2000, budget=budget, rng=rng,
+            stats=noise_statistics(fam, "L2Boundary", n2, rng.child(1)),
         )
         assert drawn == [n2]
         assert cert is not None
@@ -334,11 +334,11 @@ class TestRadiusSearch:
         assert cert.dual.trace == best.trace
 
     def test_snaps_to_grid(self):
-        fam = SmoothingFamily.gaussian(3, 1.0)
+        fam, rng = SmoothingFamily.gaussian(3, 1.0), RandomStream(11)
         radius, cert = certified_radius_search(
-            Constant(1), np.zeros(3), fam, "l2", r_max=4.0,
-            n1=1000, n2=20_000,
-            budget=ConfidenceBudget.split(0.002), rng=RandomStream(11), r_step=0.05,
+            Constant(1), np.zeros(3), "l2", r_max=4.0, n1=1000,
+            budget=ConfidenceBudget.split(0.002), rng=rng,
+            stats=noise_statistics(fam, "L2Boundary", 20_000, rng.child(1)), r_step=0.05,
         )
         assert cert is not None
         assert abs(radius / 0.05 - round(radius / 0.05)) <= 1e-9
@@ -346,8 +346,9 @@ class TestRadiusSearch:
     def test_snap_to_zero_certifies_nothing(self):
         # a step wider than the certified radius snaps it to 0: no certificate
         # may stand beside radius 0
-        args = (Constant(1), np.zeros(3), SmoothingFamily.gaussian(3, 1.0), "l2", 4.0, 1000, 10_000,
-                ConfidenceBudget.split(0.002), RandomStream(1))
+        rng = RandomStream(1)
+        args = (Constant(1), np.zeros(3), "l2", 4.0, 1000, ConfidenceBudget.split(0.002), rng,
+                noise_statistics(SmoothingFamily.gaussian(3, 1.0), "L2Boundary", 10_000, rng.child(1)))
         radius, cert = certified_radius_search(*args)
         assert 0.0 < radius < 4.0 and cert.certified
         assert certified_radius_search(*args, r_step=5.0) == (0.0, None)
@@ -355,18 +356,21 @@ class TestRadiusSearch:
     @pytest.mark.parametrize("r_step", [0.0, -0.05])
     def test_nonpositive_r_step_rejected(self, r_step):
         # a negative step would snap the radius up, past what was certified
+        rng = RandomStream(11)
         with pytest.raises(DomainError, match="r_step"):
             certified_radius_search(
-                Constant(1), np.zeros(3), SmoothingFamily.gaussian(3, 1.0), "l2", r_max=4.0,
-                n1=500, n2=500, budget=ConfidenceBudget.split(0.002), rng=RandomStream(11),
+                Constant(1), np.zeros(3), "l2", r_max=4.0, n1=500,
+                budget=ConfidenceBudget.split(0.002), rng=rng,
+                stats=noise_statistics(SmoothingFamily.gaussian(3, 1.0), "L2Boundary", 500,
+                                       rng.child(1)),
                 r_step=r_step,
             )
 
     def test_hopeless_classifier(self):
-        fam = SmoothingFamily.gaussian(3, 1.0)
+        fam, rng = SmoothingFamily.gaussian(3, 1.0), RandomStream(12)
         radius, cert = certified_radius_search(
-            Constant(0), np.zeros(3), fam, "l2", r_max=2.0,
-            n1=500, n2=500,
-            budget=ConfidenceBudget.split(0.01), rng=RandomStream(12),
+            Constant(0), np.zeros(3), "l2", r_max=2.0, n1=500,
+            budget=ConfidenceBudget.split(0.01), rng=rng,
+            stats=noise_statistics(fam, "L2Boundary", 500, rng.child(1)),
         )
         assert radius == 0.0 and cert is None

@@ -257,6 +257,36 @@ class TestConfigValidation:
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert probe.split(".")[-1] in err
 
+    @pytest.mark.parametrize("command, probe, named", [
+        ("radius", "r_max 0", "search: r_max"),
+        ("radius", "r_step -0.5", "search: r_step"),
+        ("pareto", "k 10 at dim 5", "pareto.grids[0]"),
+        ("pareto", "scale -1", "pareto.grids[1]"),
+        ("pareto", "l1 threat", "pareto.threat"),
+    ])
+    def test_engine_rejection_is_a_config_error_before_out(self, tmp_path, capsys, command,
+                                                           probe, named):
+        # the engine's own checks run while the config is parsed, so the
+        # message names the key and no out directory is left behind
+        out = tmp_path / "o"
+        if command == "radius":
+            cfg = certify_config(out, search={"norm": "l2", "r_max": 4.0})
+            key, value = probe.split()
+            cfg["search"][key] = float(value)
+        else:
+            grids = [{"variant": "l2_power_tail"}, {"variant": "mixed_norm"}]
+            cfg = {"seed": 1, "out": str(out), "pareto": {"dim": 5, "grids": grids}}
+            if probe == "k 10 at dim 5":
+                grids[0]["k_values"] = [10]
+            elif probe == "scale -1":
+                grids[1]["scale_values"] = [-1]
+            else:
+                cfg["pareto"]["threat"] = {"norm": "l1", "radius": 0.5}
+        assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: invalid {named}") and err.count("\n") == 1
+        assert not out.exists()
+
 
 # one small valid config per command (n1, n2, n <= 2,000; d <= 4); the
 # external worker exits at once, so that config ends in a transport error
@@ -637,6 +667,38 @@ class TestRadiusSearchCommand:
         assert run_cli(["radius", "--config", write_config(tmp_path, cfg)]) == 0
         result = json.loads((out / "result.json").read_text())
         assert (result["radius"], result["certified"], result["certificate"]) == (0.0, False, None)
+
+    def test_draws_stage_two_once(self, tmp_path, monkeypatch):
+        # the job draws the search's statistics once, straight from their law,
+        # on RandomStream(seed).child(1); the values are frozen from the run
+        # in which the search drew them itself on that stream
+        from smoothcert import discrepancy
+
+        drawn: list[int] = []
+        real = discrepancy._direct_statistics
+
+        def counting(family, rationale, n, g):
+            drawn.append(n)
+            return real(family, rationale, n, g)
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the l2 ray needs no full rows")
+
+        monkeypatch.setattr(discrepancy, "_direct_statistics", counting)
+        monkeypatch.setattr(discrepancy, "sample_chunks", no_rows)
+        out = tmp_path / "run"
+        cfg = certify_config(
+            out, search={"norm": "l2", "r_max": 3.0},
+            classifier={"kind": "ball", "norm": "l2", "center": [0.0] * 4, "radius": 3.5},
+            inputs={"vectors": [[1.0, 0.0, 0.0, 0.0]]},
+        )
+        del cfg["threat"]
+        assert run_cli(["radius", "--config", write_config(tmp_path, cfg)]) == 0
+        assert drawn == [20_000]
+        result = json.loads((out / "result.json").read_text())
+        cert = result["certificate"]
+        assert (result["radius"], cert["p0_lower"], cert["bound"]) == (
+            1.418701171875, 0.935875415061222, 0.5001035339687152)
 
 
 class TestVerifyCommand:

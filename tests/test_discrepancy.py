@@ -118,6 +118,32 @@ class TestDiscrepancyMC:
         assert a.mean != c.mean
         assert abs(a.mean - c.mean) <= 0.02  # different streams, same law
 
+    @pytest.mark.parametrize("norm, fam", [
+        ("l2", SmoothingFamily.gaussian(4, 1.0)),
+        ("l1", SmoothingFamily.laplacian(4, 1.0)),
+        ("linf", SmoothingFamily.l2_power_tail(6, 2.0, 1.0)),
+        ("linf", SmoothingFamily.mixed_norm(5, 1.0, 1.0)),
+    ], ids=["gaussian-l2", "laplacian-l1", "l2_power_tail-linf", "mixed_norm-vertex"])
+    def test_is_the_certificate_estimator(self, norm, fam):
+        # on the same stream, the estimate at lambda* is the dual bound's, bit for bit
+        from smoothcert import noise_statistics
+
+        threat, n, alpha, rng = ThreatModel(norm, 0.3), 20_000, 1e-3, RandomStream(50)
+        wd = worst_delta(threat, fam)
+        dual = dual_lower_bound(0.9, threat, alpha, noise_statistics(fam, wd.rationale, n, rng))
+        est = discrepancy_mc(fam, wd.vector, dual.lambda_star, n, alpha, rng)
+        assert dual.lambda_star > 0.0
+        assert (est.mean, est.epsilon, est.std_error) == (dual.d_mean, dual.epsilon, dual.std_error)
+
+    @pytest.mark.parametrize("fam, delta", [
+        (SmoothingFamily.gaussian(3, 1.0), [1.0, 1.0, 0.0]),
+        (SmoothingFamily.laplacian(3, 1.0), [0.0, 1.0, 0.0]),
+        (SmoothingFamily.mixed_norm(3, 1.0, 1.0), [1.0, 0.0, 0.0]),
+    ], ids=["gaussian", "laplacian", "mixed_norm"])
+    def test_rejects_a_shift_off_the_ray(self, fam, delta):
+        with pytest.raises(DomainError, match="direction"):
+            discrepancy_mc(fam, np.array(delta), 1.0, 100, 0.01, RandomStream(1))
+
     def test_estimate_invariant_enforced(self):
         with pytest.raises(DomainError):
             DiscrepancyEstimate(mean=1.5, epsilon=0.0, n=10, lam=1.0, alpha=0.5, std_error=0.0)
@@ -476,7 +502,7 @@ class TestShiftStatistics:
         import sys
 
         from smoothcert import ConfidenceBudget, Constant, certified_radius_search, families
-        from smoothcert.discrepancy import ShiftStatistics
+        from smoothcert.discrepancy import ShiftStatistics, noise_statistics
 
         certify = sys.modules["smoothcert.certify"]  # the package exports a function of that name
         seen = []
@@ -489,9 +515,11 @@ class TestShiftStatistics:
         monkeypatch.setattr(certify, "dual_lower_bound", recording)
         fam, n2 = SmoothingFamily.mixed_norm(5, 1.0, 1.0), 3_001
         monkeypatch.setattr(families, "_CHUNK_SCALARS", fam.dim * -(-n2 // blocks))
+        rng = RandomStream(48)
         certified_radius_search(
-            Constant(1), np.zeros(5), fam, "linf", r_max=1.0, n1=1000,
-            n2=n2, budget=ConfidenceBudget.split(0.002), rng=RandomStream(48),
+            Constant(1), np.zeros(5), "linf", r_max=1.0, n1=1000,
+            budget=ConfidenceBudget.split(0.002), rng=rng,
+            stats=noise_statistics(fam, "LinfVertex", n2, rng.child(1)),
         )
         assert len(seen) == 12 and all(s is seen[0] for s in seen)
         stats = seen[0]
