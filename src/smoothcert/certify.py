@@ -29,6 +29,7 @@ from .discrepancy import (
     ShiftStatistics,
     ThreatModel,
     dual_lower_bound,
+    worst_delta,
 )
 from .errors import DomainError
 from .families import SmoothingFamily
@@ -259,9 +260,12 @@ def certify(
     Stage 1 draws n1 samples from ``rng.child(0)``, counts classifier
     successes, and lower-bounds p0 at level alpha_p0. Stage 2 maximizes
     the dual bound over lambda on ``stats`` (the ``noise_statistics`` of
-    ``threat``'s worst shift) at level alpha_mc. Certified iff the bound
-    exceeds 1/2; if p0_lower cannot clear 1/2 the pipeline abstains.
+    the smoothing family, read at ``threat``'s worst shift) at level
+    alpha_mc. Certified iff the bound exceeds 1/2; if p0_lower cannot
+    clear 1/2 the pipeline abstains. A threat with no worst-shift
+    theorem for the family raises before anything is drawn.
     """
+    worst_delta(threat, stats.family)
     p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng)
     dual = None
     if p0_lower > 0.5:
@@ -293,16 +297,18 @@ def certified_radius_search(
     """Largest certified radius by bisection on r in [0, r_max].
 
     Stage 1 runs once, as in ``certify`` (p0 does not depend on r), and
-    every probe reads ``stats``, the ``noise_statistics`` of the worst
-    shift of ``threat_norm``: only the radius along the ray changes, so
-    the search draws nothing else and a probe costs O(n2). Each probe is
-    a rigorous certificate at its own radius with the MC budget split
-    across all probes, so the reported radius (snapped down to
-    ``r_step`` if given) was itself certified, not interpolated. Radius
+    every probe reads ``stats``, the statistics of the family: only the
+    radius along its ray changes, so the search draws nothing else and
+    a probe costs O(n2). Each probe is a rigorous certificate at its
+    own radius with the MC budget split across all probes, so the
+    reported radius (snapped down to ``r_step`` if given) was itself
+    certified, not interpolated. A ``threat_norm`` with no worst-shift
+    theorem for the family raises before anything is drawn. Radius
     0 and no certificate (None) when stage 1 abstains, no probe
     certifies, or the snap to ``r_step`` reaches 0.
     """
     _check_search(r_max, iterations, r_step)
+    worst_delta(ThreatModel(threat_norm, r_max), stats.family)
     p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng)
     if p0_lower <= 0.5:
         return 0.0, None

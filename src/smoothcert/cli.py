@@ -355,7 +355,7 @@ def _closing(classifier: Classifier, work: Callable):
 def _certify(top: dict) -> Job:
     family = parse_family(top.get("family"))
     threat = parse_threat(top.get("threat"))
-    rationale = _build("threat", worst_delta, threat, family).rationale
+    _build("threat", worst_delta, threat, family)
     budget = parse_budget(top["budget"])
     counts = _section(top["counts"], _COUNTS, "counts")
     classifier = parse_classifier(top.get("classifier"), family.dim)
@@ -365,7 +365,7 @@ def _certify(top: dict) -> Job:
 
     def all_inputs() -> list[Certificate]:
         # one stage-2 draw serves every input, on a stream no root.child(idx) reaches
-        stats = noise_statistics(family, rationale, counts["n2"], root.child(MAX_INPUTS))
+        stats = noise_statistics(family, counts["n2"], root.child(MAX_INPUTS))
 
         def one(idx: int) -> Certificate:
             return certify(classifier, inputs[idx], threat, counts["n1"], budget,
@@ -411,7 +411,7 @@ def _radius(top: dict) -> Job:
     norm = search.pop("norm")
     r_max = search.pop("r_max", 4.0 * family.scale)
     _build("search", _check_search, r_max, **search)
-    rationale = _build("search.norm", lambda: worst_delta(ThreatModel(norm, r_max), family)).rationale
+    _build("search.norm", lambda: worst_delta(ThreatModel(norm, r_max), family))
     budget = parse_budget(top["budget"])
     counts = _section(top["counts"], _COUNTS, "counts")
     classifier = parse_classifier(top.get("classifier"), family.dim)
@@ -422,7 +422,7 @@ def _radius(top: dict) -> Job:
     def job(out: Path, config: dict) -> Report:
         radius, cert = _closing(classifier, lambda: certified_radius_search(
             classifier, x0, norm, r_max, counts["n1"], budget, root,
-            noise_statistics(family, rationale, counts["n2"], root.child(1)), **search,
+            noise_statistics(family, counts["n2"], root.child(1)), **search,
         ))
         body = {"radius": radius, "certified": radius > 0.0,
                 "certificate": cert.to_dict() if cert is not None else None}

@@ -74,23 +74,28 @@ class WorstDelta:
 
 @dataclass(frozen=True)
 class ShiftStatistics:
-    """Draws reduced to the scalars that fix their ratio on a worst-shift ray.
+    """Draws of ``family`` reduced to the scalars that fix their ratio on its ray.
 
-    Along the ray delta = r * direction, log pi_delta / pi_0 depends on
-    a row z only through ``columns``, one entry per row:
+    The worst shift of every threat the family supports lies on one ray,
+    ``ray``, so one set of statistics serves them all. Along
+    delta = r * direction, log pi_delta / pi_0 depends on a row z only
+    through ``columns``, one entry per row:
 
-    * ``L2Boundary``, ``LinfViaL2Equivalence``: (z1, ||z_{2:}||_2^2);
-    * ``L1Boundary``: (z1, ||z_{2:}||_1);
-    * ``LinfVertex``: (sum z, max z, min z).
+    * ``L2Boundary`` (gaussian, l2_power_tail; e1 axis): (z1, ||z_{2:}||_2^2);
+    * ``L1Boundary`` (laplacian, l1_power_tail; e1 axis): (z1, ||z_{2:}||_1);
+    * ``LinfVertex`` (mixed_norm, linf_pure; all-ones): (sum z, max z, min z).
     """
 
     family: SmoothingFamily
-    rationale: str
     columns: tuple[np.ndarray, ...]
 
     @property
     def n(self) -> int:
         return self.columns[0].size
+
+    @property
+    def ray(self) -> str:
+        return _RAY[self.family.variant]
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,7 @@ class DiscrepancyEstimate:
 
     mean: float
     epsilon: float
-    n: int
     lam: float
-    alpha: float
     std_error: float
 
     def __post_init__(self) -> None:
@@ -140,10 +143,6 @@ class DualBoundResult:
     d_mean: float
     epsilon: float
     std_error: float
-    p0_lower: float
-    n: int
-    alpha: float
-    delta: WorstDelta
     trace: tuple[TracePoint, ...] = field(repr=False)
 
 
@@ -159,6 +158,9 @@ _WORST_SHIFT = {
     ("linf", "gaussian"): "LinfViaL2Equivalence", ("linf", "l2_power_tail"): "LinfViaL2Equivalence",
     ("linf", "mixed_norm"): "LinfVertex", ("linf", "linf_pure"): "LinfVertex",
 }
+# The ray of each family's ``ShiftStatistics``: an linf threat under l2
+# smoothing shifts along the same e1 axis as an l2 threat.
+_RAY = {v: ray for (_, v), ray in _WORST_SHIFT.items() if ray != "LinfViaL2Equivalence"}
 
 
 def worst_delta(threat: ThreatModel, family: SmoothingFamily) -> WorstDelta:
@@ -187,43 +189,34 @@ def worst_delta(threat: ThreatModel, family: SmoothingFamily) -> WorstDelta:
 # worst-shift statistics
 
 
-def _check_ray(family: SmoothingFamily, rationale: str) -> None:
-    if (rationale, family.variant) not in {(ray, v) for (_, v), ray in _WORST_SHIFT.items()}:
-        raise DomainError(f"no worst-shift ray {rationale!r} for family {family.variant!r}")
-
-
-def shift_statistics(
-    family: SmoothingFamily, rationale: str, block: np.ndarray
-) -> ShiftStatistics:
-    """Reduce an n x d block of draws to its ``ShiftStatistics`` on one ray.
+def shift_statistics(family: SmoothingFamily, block: np.ndarray) -> ShiftStatistics:
+    """Reduce an n x d block of draws of ``family`` to its ``ShiftStatistics``.
 
     One O(n d) pass; afterwards ``log_ratio`` costs O(n) at any radius.
     The columns are copies, so the block can be freed.
     """
-    _check_ray(family, rationale)
-    if rationale == "LinfVertex":
+    ray = _RAY[family.variant]
+    if ray == "LinfVertex":
         columns = (block.sum(axis=1), block.max(axis=1), block.min(axis=1))
     else:
         rest = block[:, 1:]
-        if rationale == "L1Boundary":
+        if ray == "L1Boundary":
             tail = np.abs(rest).sum(axis=1)
         else:
             tail = np.einsum("ij,ij->i", rest, rest)
         columns = (block[:, 0].copy(), tail)
-    return ShiftStatistics(family=family, rationale=rationale, columns=columns)
+    return ShiftStatistics(family=family, columns=columns)
 
 
-def _direct_statistics(
-    family: SmoothingFamily, rationale: str, n: int, g: np.random.Generator
-) -> ShiftStatistics:
-    """n rows of ``ShiftStatistics`` on an l1/l2 axis ray, drawn from their exact law.
+def _direct_statistics(family: SmoothingFamily, n: int, g: np.random.Generator) -> ShiftStatistics:
+    """n rows of ``ShiftStatistics`` of an l1/l2 family, drawn from their exact law.
 
     A row is z = rho * w with rho the family's radius law and w an
     independent direction, so (z1, tail) need only rho and the first
     coordinate of w against the rest. Each variate is one size-n call,
     in this order:
 
-    * l2 rays: R^2 = 2 sigma^2 Gamma((d-k)/2), g1 ~ N(0, 1),
+    * l2 ray: R^2 = 2 sigma^2 Gamma((d-k)/2), g1 ~ N(0, 1),
       S = 2 Gamma((d-1)/2) (that is ||g_{2:}||^2 of a normal g, so
       u = g / ||g|| gives u1^2 = g1^2 / (g1^2 + S)); then
       z1 = g1 sqrt(R^2 / (g1^2 + S)) and tail = R^2 S / (g1^2 + S);
@@ -236,7 +229,7 @@ def _direct_statistics(
     tail is 0. Costs O(n) whatever d is.
     """
     d, k = family.dim, family.k
-    if rationale == "L1Boundary":
+    if _RAY[family.variant] == "L1Boundary":
         rho = _nonzero_radius(g.gamma(d - k, family.b, size=n), family.variant, d, k)
         e1 = g.standard_exponential(n)
         rest = g.gamma(d - 1.0, 1.0, size=n)
@@ -250,7 +243,7 @@ def _direct_statistics(
         rest = 2.0 * g.gamma((d - 1.0) / 2.0, 1.0, size=n)
         total = g1 * g1 + rest
         columns = (g1 * np.sqrt(r2 / total), r2 * rest / total)
-    return ShiftStatistics(family=family, rationale=rationale, columns=columns)
+    return ShiftStatistics(family=family, columns=columns)
 
 
 def _ray_norm(stats: ShiftStatistics, r: float) -> np.ndarray:
@@ -259,11 +252,11 @@ def _ray_norm(stats: ShiftStatistics, r: float) -> np.ndarray:
     Each is a sum or a maximum of nonnegative terms, so nothing cancels
     near the shift point.
     """
-    if stats.rationale == "LinfVertex":
+    if stats.ray == "LinfVertex":
         _, hi, lo = stats.columns
         return np.maximum(hi - r, r - lo)
     t, tail = stats.columns
-    if stats.rationale == "L1Boundary":
+    if stats.ray == "L1Boundary":
         return np.abs(t - r) + tail
     return (t - r) ** 2 + tail
 
@@ -284,7 +277,7 @@ def log_ratio(stats: ShiftStatistics, r: float) -> np.ndarray:
     family's power norm.
     """
     family = stats.family
-    if stats.rationale == "LinfVertex":
+    if stats.ray == "LinfVertex":
         if family.variant == "mixed_norm":
             s = stats.columns[0]
             out = (2.0 * (s * r) - family.dim * (r * r)) / (2.0 * family.sigma**2)
@@ -292,7 +285,7 @@ def log_ratio(stats: ShiftStatistics, r: float) -> np.ndarray:
             shifted, base = _ray_norm(stats, r), _ray_norm(stats, 0.0)
             out = (base - shifted) * (base + shifted) / (2.0 * family.sigma**2)
         power = family.k
-    elif stats.rationale == "L1Boundary":
+    elif stats.ray == "L1Boundary":
         t = stats.columns[0]
         out = (np.abs(t - 0.0) - np.abs(t - r)) / family.b
         power = family.k
@@ -329,29 +322,24 @@ def hoeffding_epsilon(n: int, lam: float, alpha: float) -> float:
 # Monte Carlo estimator
 
 
-def noise_statistics(
-    family: SmoothingFamily, rationale: str, n: int, rng: RandomStream
-) -> ShiftStatistics:
-    """``ShiftStatistics`` of n pi_0 draws from stream ``rng.child(0)``.
+def noise_statistics(family: SmoothingFamily, n: int, rng: RandomStream) -> ShiftStatistics:
+    """``ShiftStatistics`` of n pi_0 draws of ``family`` from stream ``rng.child(0)``.
 
-    On the l1/l2 axis rays (``L1Boundary``, ``L2Boundary``,
-    ``LinfViaL2Equivalence``) the statistics are drawn directly from
-    their exact joint law (``_direct_statistics``), in O(n) with no
-    n x d rows. On ``LinfVertex`` full rows come in ``sample_chunks``
+    The statistics belong to the family: one draw serves every threat
+    norm it supports. For the l1/l2 families (the e1 axis rays) they
+    are drawn directly from their exact joint law
+    (``_direct_statistics``), in O(n) with no n x d rows. For mixed_norm
+    and linf_pure (``LinfVertex``) full rows come in ``sample_chunks``
     blocks, each reduced as it is drawn, so no n x d array outlives its
     block. Either way the result depends only on (family, n, rng).
     """
-    _check_ray(family, rationale)
     if n < 1:
         raise DomainError(f"noise_statistics requires n >= 1, got {n}")
-    if rationale != "LinfVertex":
-        return _direct_statistics(family, rationale, n, rng.child(0).generator())
-    reduced = [
-        shift_statistics(family, rationale, block)
-        for block in sample_chunks(family, n, rng.child(0))
-    ]
+    if _RAY[family.variant] != "LinfVertex":
+        return _direct_statistics(family, n, rng.child(0).generator())
+    reduced = [shift_statistics(family, block) for block in sample_chunks(family, n, rng.child(0))]
     columns = tuple(np.concatenate(c) for c in zip(*(s.columns for s in reduced)))
-    return ShiftStatistics(family=family, rationale=rationale, columns=columns)
+    return ShiftStatistics(family=family, columns=columns)
 
 
 def _estimate(ratios: np.ndarray, lam: float, alpha: float) -> DiscrepancyEstimate:
@@ -365,9 +353,7 @@ def _estimate(ratios: np.ndarray, lam: float, alpha: float) -> DiscrepancyEstima
     return DiscrepancyEstimate(
         mean=min(mean, lam),
         epsilon=hoeffding_epsilon(n, lam, alpha),
-        n=n,
         lam=lam,
-        alpha=alpha,
         std_error=math.sqrt(var / n),
     )
 
@@ -397,13 +383,12 @@ def discrepancy_mc(
     delta = np.asarray(delta, dtype=float)
     if delta.shape != (family.dim,):
         raise DomainError(f"delta must have length {family.dim}, got shape {delta.shape}")
-    # the family's first ray in the worst-shift table (both l2 rays draw alike)
-    rationale = next(ray for (_, v), ray in _WORST_SHIFT.items() if v == family.variant)
-    direction = np.ones(family.dim) if rationale == "LinfVertex" else np.eye(1, family.dim)[0]
+    ray = _RAY[family.variant]
+    direction = np.ones(family.dim) if ray == "LinfVertex" else np.eye(1, family.dim)[0]
     if not np.array_equal(delta, delta[0] * direction):
-        raise DomainError(f"delta must be r times the {rationale} direction of {family.variant!r}")
+        raise DomainError(f"delta must be r times the {ray} direction of {family.variant!r}")
     with np.errstate(over="ignore"):
-        ratios = np.exp(log_ratio(noise_statistics(family, rationale, n, rng), float(delta[0])))
+        ratios = np.exp(log_ratio(noise_statistics(family, n, rng), float(delta[0])))
     return _estimate(ratios, lam, alpha)
 
 
@@ -615,14 +600,16 @@ def dual_lower_bound(
 ) -> DualBoundResult:
     """Maximize lambda * p0 - (D_hat(lambda) + lambda * eps) over all lambda >= 0.
 
-    ``stats`` are the ``noise_statistics`` of n draws of ``stats.family``
-    on the worst-shift ray of ``threat``; the bound is a function of
-    them and draws nothing. With R = pi_delta / pi_0, D(lambda) =
-    E (lambda - R)_+ is the integral of the CDF of R from 0 to lambda.
-    The one-sided DKW inequality (Massart 1990) bounds that CDF above
-    by the empirical CDF plus eps = sqrt(ln(1/alpha_mc) / 2n) at every
-    point at once with probability >= 1 - alpha_mc, valid for
-    alpha_mc <= 1/2. Integrating, D(lambda) <= D_hat(lambda) +
+    ``stats`` are the ``noise_statistics`` of n draws of ``stats.family``,
+    read at the worst shift of ``threat`` on the family's ray; the
+    bound is a function of them and draws nothing. A threat with no
+    worst-shift theorem for the family raises ``UnsupportedError``.
+    With R = pi_delta / pi_0, D(lambda) = E (lambda - R)_+ is the
+    integral of the CDF of R from 0 to lambda. The one-sided DKW
+    inequality (Massart 1990) bounds that CDF above by the empirical
+    CDF plus eps = sqrt(ln(1/alpha_mc) / 2n) at every point at once
+    with probability >= 1 - alpha_mc, valid for alpha_mc <= 1/2.
+    Integrating, D(lambda) <= D_hat(lambda) +
     lambda * eps for every lambda simultaneously, so the returned value
     is a valid lower bound on the worst-case smoothed value at any
     lambda, however it was chosen from the data (conditional on
@@ -641,10 +628,6 @@ def dual_lower_bound(
     if not 0.0 < alpha_mc <= 0.5:
         raise DomainError(f"alpha_mc must be in (0, 1/2] for the DKW band, got {alpha_mc}")
     wd = worst_delta(threat, stats.family)
-    if stats.rationale != wd.rationale:
-        raise DomainError(
-            f"stats were taken on the {stats.rationale} ray, the threat needs {wd.rationale}"
-        )
     n = stats.n
     with np.errstate(over="ignore"):
         ratios = np.exp(log_ratio(stats, wd.step))
@@ -661,9 +644,5 @@ def dual_lower_bound(
         d_mean=est.mean,
         epsilon=est.epsilon,
         std_error=est.std_error,
-        p0_lower=p0_lower,
-        n=n,
-        alpha=alpha_mc,
-        delta=wd,
         trace=(TracePoint(lam=lam, d_mean=est.mean, epsilon=est.epsilon, bound=bound),),
     )

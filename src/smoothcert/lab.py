@@ -113,7 +113,7 @@ def _sweep_point(
     sums = np.zeros((len(scales), 3))  # hits, sum and sum of squares of robustness terms
     with np.errstate(over="ignore", divide="ignore"):
         for block in sample_chunks(family, n, rng):
-            stats = shift_statistics(family, wd.rationale, block)
+            stats = shift_statistics(family, block)
             for row, s in zip(sums, scales):
                 vals = 1.0 - np.exp(log_ratio(stats, wd.step / s))
                 np.maximum(vals, 0.0, out=vals)
@@ -301,7 +301,7 @@ def best_bound_by_family(
             point = ParetoPoint(unit.variant, k, scale, *estimate)
             if point.accuracy <= 0.0:
                 continue
-            stats = noise_statistics(family, worst_delta(threat, family).rationale, n, rng.child(tag))
+            stats = noise_statistics(family, n, rng.child(tag))
             result = dual_lower_bound(min(point.accuracy, 1.0), threat, alpha, stats)
             tag += 1
             if point.variant not in best or result.bound > best[point.variant].bound:

@@ -58,11 +58,6 @@ P0_GRID = (0.6, 0.75, 0.9, 0.99)
 R_GRID = (0.1, 0.5, 1.0)
 
 
-def _stats(fam, threat, n, rng):
-    # the noise_statistics of n draws on the worst-shift ray of threat
-    return noise_statistics(fam, worst_delta(threat, fam).rationale, n, rng)
-
-
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
     verdict = "PASS" if ok else "FAIL"
     suffix = f" | {detail}" if detail else ""
@@ -77,7 +72,7 @@ def test_criterion_1_gaussian_closed_form_recovery():
         for j, r in enumerate(R_GRID):
             threat = ThreatModel("l2", r)
             res = dual_lower_bound(
-                p0, threat, 1e-3, _stats(fam, threat, 1_000_000, RandomStream(1000 + 10 * i + j)),
+                p0, threat, 1e-3, noise_statistics(fam, 1_000_000, RandomStream(1000 + 10 * i + j)),
             )
             target = cohen_bound(p0, 1.0, r)
             tol = res.epsilon + 3.0 * res.std_error
@@ -106,7 +101,7 @@ def test_criterion_2_laplacian_closed_form_recovery():
             branches.add(1 if p0 >= 1.0 - 0.5 * math.exp(-r) else 2)
             threat = ThreatModel("l1", r)
             res = dual_lower_bound(
-                p0, threat, 1e-3, _stats(fam, threat, 1_000_000, RandomStream(2000 + 10 * i + j)),
+                p0, threat, 1e-3, noise_statistics(fam, 1_000_000, RandomStream(2000 + 10 * i + j)),
             )
             target = teng_bound(p0, 1.0, r)
             tol = res.epsilon + 3.0 * res.std_error
@@ -171,7 +166,7 @@ def test_criterion_5_linf_l2_equivalence():
     for d in (4, 16):
         for fam in (SmoothingFamily.gaussian(d, 1.0), SmoothingFamily.l2_power_tail(d, 1.0, 1.0)):
             a, b = (
-                dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 100_000, RandomStream(50)))
+                dual_lower_bound(0.9, threat, 1e-3, noise_statistics(fam, 100_000, RandomStream(50)))
                 for threat in (ThreatModel("linf", 0.1), ThreatModel("l2", math.sqrt(d) * 0.1))
             )
             same = (
@@ -347,7 +342,7 @@ def test_criterion_9_end_to_end_soundness():
         threat, rng = ThreatModel(norm, r), RandomStream(90).child(idx)
         cert = certify(
             truth, np.zeros(d), threat, n1=3000, budget=budget, rng=rng,
-            stats=_stats(fam, threat, 20_000, rng.child(1)),
+            stats=noise_statistics(fam, 20_000, rng.child(1)),
         )
         if cert.certified:
             issued += 1

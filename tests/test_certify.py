@@ -14,6 +14,7 @@ from smoothcert import (
     RandomStream,
     SmoothingFamily,
     ThreatModel,
+    UnsupportedError,
     certified_radius_search,
     certify,
     clopper_pearson_lower,
@@ -24,7 +25,6 @@ from smoothcert import (
     noise_statistics,
     teng_bound,
     teng_radius,
-    worst_delta,
 )
 from smoothcert.certify import ABSTAIN, CERTIFIED
 from _oracles import clopper_pearson_by_binomial_bisection
@@ -197,17 +197,12 @@ class TestConfidenceBudget:
             ConfidenceBudget(alpha_total=0.99, alpha_p0=0.3, alpha_mc=0.6)
 
 
-def _stats(fam, threat, n, rng):
-    # the noise_statistics of n draws on the worst-shift ray of threat
-    return noise_statistics(fam, worst_delta(threat, fam).rationale, n, rng)
-
-
 class TestCertifyPipeline:
     def test_constant_one_certifies(self):
         fam, threat, rng = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.5), RandomStream(1)
         cert = certify(
             Constant(1), np.zeros(4), threat, n1=1000, budget=ConfidenceBudget.split(0.002),
-            rng=rng, stats=_stats(fam, threat, 50_000, rng.child(1)),
+            rng=rng, stats=noise_statistics(fam, 50_000, rng.child(1)),
         )
         assert abs(cert.p0_lower - 0.001 ** (1.0 / 1000.0)) <= 1e-12
         assert cert.status == CERTIFIED and cert.certified
@@ -217,7 +212,7 @@ class TestCertifyPipeline:
         fam, threat, rng = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.5), RandomStream(2)
         cert = certify(
             Constant(0), np.zeros(4), threat, n1=500, budget=ConfidenceBudget.split(0.002),
-            rng=rng, stats=_stats(fam, threat, 1000, rng.child(1)),
+            rng=rng, stats=noise_statistics(fam, 1000, rng.child(1)),
         )
         assert cert.status == ABSTAIN and not cert.certified
         assert cert.p0_lower == 0.0
@@ -230,7 +225,7 @@ class TestCertifyPipeline:
         clf = Halfspace(np.array([1.0, 0.0, 0.0]), 0.0)
         cert = certify(
             clf, np.zeros(3), threat, n1=2000, budget=ConfidenceBudget.split(0.01),
-            rng=rng, stats=_stats(fam, threat, 5000, rng.child(1)),
+            rng=rng, stats=noise_statistics(fam, 5000, rng.child(1)),
         )
         assert not cert.certified
 
@@ -239,7 +234,7 @@ class TestCertifyPipeline:
         fam, threat, rng = SmoothingFamily.gaussian(5, 1.0), ThreatModel("l2", 0.5), RandomStream(4)
         cert = certify(
             Constant(1), np.zeros(5), threat, n1=100_000, budget=ConfidenceBudget.split(0.002),
-            rng=rng, stats=_stats(fam, threat, 400_000, rng.child(1)),
+            rng=rng, stats=noise_statistics(fam, 400_000, rng.child(1)),
         )
         target = cohen_bound(cert.p0_lower, 1.0, 0.5)
         tol = cert.dual.epsilon + 3.0 * cert.dual.std_error
@@ -249,7 +244,7 @@ class TestCertifyPipeline:
         fam, threat, rng = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.2), RandomStream(5)
         cert = certify(
             Constant(1), np.zeros(3), threat, n1=200, budget=ConfidenceBudget.split(0.01),
-            rng=rng, stats=_stats(fam, threat, 2000, rng.child(1)),
+            rng=rng, stats=noise_statistics(fam, 2000, rng.child(1)),
         )
         payload = cert.to_dict()
         assert payload["certified"] is True
@@ -266,7 +261,7 @@ class TestCertifyPipeline:
         with pytest.raises(DomainError):
             certify(
                 clf, np.zeros(3), threat, n1=100, budget=ConfidenceBudget.split(0.01),
-                rng=rng, stats=_stats(fam, threat, 100, rng.child(1)),
+                rng=rng, stats=noise_statistics(fam, 100, rng.child(1)),
             )
 
 
@@ -276,7 +271,7 @@ class TestRadiusSearch:
         radius, cert = certified_radius_search(
             Constant(1), np.zeros(4), "l2", r_max=4.0, n1=2000,
             budget=ConfidenceBudget.split(0.002), rng=rng,
-            stats=noise_statistics(fam, "L2Boundary", 50_000, rng.child(1)),
+            stats=noise_statistics(fam, 50_000, rng.child(1)),
         )
         assert cert is not None and cert.certified
         analytic = cohen_radius(cert.p0_lower, 1.0)
@@ -296,9 +291,9 @@ class TestRadiusSearch:
         drawn: list[int] = []
         real = discrepancy._direct_statistics
 
-        def counting(family, rationale, n, g):
+        def counting(family, n, g):
             drawn.append(n)
-            return real(family, rationale, n, g)
+            return real(family, n, g)
 
         def no_rows(*args, **kwargs):
             raise AssertionError("the l2 ray needs no full rows")
@@ -310,7 +305,7 @@ class TestRadiusSearch:
         monkeypatch.setattr(families, "_CHUNK_SCALARS", fam.dim * -(-n2 // blocks))
         radius, cert = certified_radius_search(
             Constant(1), np.zeros(6), "l2", r_max=4.0, n1=2000, budget=budget, rng=rng,
-            stats=noise_statistics(fam, "L2Boundary", n2, rng.child(1)),
+            stats=noise_statistics(fam, n2, rng.child(1)),
         )
         assert drawn == [n2]
         assert cert is not None
@@ -321,7 +316,7 @@ class TestRadiusSearch:
             mid = 0.5 * (lo + hi)
             dual = dual_lower_bound(
                 cert.p0_lower, ThreatModel("l2", mid), budget.alpha_mc / 12,
-                noise_statistics(fam, "L2Boundary", n2, rng.child(1)),
+                noise_statistics(fam, n2, rng.child(1)),
             )
             if min(dual.bound, 1.0) > 0.5:
                 lo, best = mid, dual
@@ -338,7 +333,7 @@ class TestRadiusSearch:
         radius, cert = certified_radius_search(
             Constant(1), np.zeros(3), "l2", r_max=4.0, n1=1000,
             budget=ConfidenceBudget.split(0.002), rng=rng,
-            stats=noise_statistics(fam, "L2Boundary", 20_000, rng.child(1)), r_step=0.05,
+            stats=noise_statistics(fam, 20_000, rng.child(1)), r_step=0.05,
         )
         assert cert is not None
         assert abs(radius / 0.05 - round(radius / 0.05)) <= 1e-9
@@ -348,7 +343,7 @@ class TestRadiusSearch:
         # may stand beside radius 0
         rng = RandomStream(1)
         args = (Constant(1), np.zeros(3), "l2", 4.0, 1000, ConfidenceBudget.split(0.002), rng,
-                noise_statistics(SmoothingFamily.gaussian(3, 1.0), "L2Boundary", 10_000, rng.child(1)))
+                noise_statistics(SmoothingFamily.gaussian(3, 1.0), 10_000, rng.child(1)))
         radius, cert = certified_radius_search(*args)
         assert 0.0 < radius < 4.0 and cert.certified
         assert certified_radius_search(*args, r_step=5.0) == (0.0, None)
@@ -361,7 +356,7 @@ class TestRadiusSearch:
             certified_radius_search(
                 Constant(1), np.zeros(3), "l2", r_max=4.0, n1=500,
                 budget=ConfidenceBudget.split(0.002), rng=rng,
-                stats=noise_statistics(SmoothingFamily.gaussian(3, 1.0), "L2Boundary", 500,
+                stats=noise_statistics(SmoothingFamily.gaussian(3, 1.0), 500,
                                        rng.child(1)),
                 r_step=r_step,
             )
@@ -371,6 +366,25 @@ class TestRadiusSearch:
         radius, cert = certified_radius_search(
             Constant(0), np.zeros(3), "l2", r_max=2.0, n1=500,
             budget=ConfidenceBudget.split(0.01), rng=rng,
-            stats=noise_statistics(fam, "L2Boundary", 500, rng.child(1)),
+            stats=noise_statistics(fam, 500, rng.child(1)),
         )
         assert radius == 0.0 and cert is None
+
+
+@pytest.mark.parametrize("label", [0, 1])
+def test_unsupported_threat_raises_before_stage_one(monkeypatch, label):
+    # statistics of a family with no theorem for the threat are refused
+    # before stage 1 draws, whether or not p0 would clear 1/2
+    import sys
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("stage 1 drew")
+
+    # the package exports a function named certify, so take the module itself
+    monkeypatch.setattr(sys.modules["smoothcert.certify"], "success_counts", no_draws)
+    rng, budget = RandomStream(15), ConfidenceBudget.split(0.01)
+    stats = noise_statistics(SmoothingFamily.laplacian(3, 1.0), 500, rng.child(1))
+    with pytest.raises(UnsupportedError):
+        certify(Constant(label), np.zeros(3), ThreatModel("l2", 0.5), 500, budget, rng, stats)
+    with pytest.raises(UnsupportedError):
+        certified_radius_search(Constant(label), np.zeros(3), "l2", 2.0, 500, budget, rng, stats)

@@ -444,9 +444,9 @@ class TestCertifyCommand:
         drawn: list[int] = []
         real = discrepancy._direct_statistics
 
-        def counting(family, rationale, n, g):
+        def counting(family, n, g):
             drawn.append(n)
-            return real(family, rationale, n, g)
+            return real(family, n, g)
 
         def no_rows(*args, **kwargs):
             raise AssertionError("the l2 ray needs no full rows")
@@ -481,7 +481,7 @@ class TestCertifyCommand:
             0.9717731028820938, 0.9298335327880004, 0.41908748773554694]
         assert [c["status"] for c in certs] == ["certified", "certified", "abstain"]
         threat = ThreatModel("l2", 0.5)
-        shared = noise_statistics(SmoothingFamily.gaussian(4, 1.0), "L2Boundary", 20_000,
+        shared = noise_statistics(SmoothingFamily.gaussian(4, 1.0), 20_000,
                                   RandomStream(7).child(MAX_INPUTS))
         for cert in certs[:2]:
             dual = dual_lower_bound(cert["p0_lower"], threat, cert["budget"]["alpha_mc"], shared)
@@ -677,9 +677,9 @@ class TestRadiusSearchCommand:
         drawn: list[int] = []
         real = discrepancy._direct_statistics
 
-        def counting(family, rationale, n, g):
+        def counting(family, n, g):
             drawn.append(n)
-            return real(family, rationale, n, g)
+            return real(family, n, g)
 
         def no_rows(*args, **kwargs):
             raise AssertionError("the l2 ray needs no full rows")

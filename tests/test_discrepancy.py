@@ -18,6 +18,7 @@ from smoothcert import (
     discrepancy_quadrature,
     dual_lower_bound,
     hoeffding_epsilon,
+    noise_statistics,
     worst_delta,
 )
 from smoothcert.discrepancy import DiscrepancyEstimate
@@ -130,7 +131,7 @@ class TestDiscrepancyMC:
 
         threat, n, alpha, rng = ThreatModel(norm, 0.3), 20_000, 1e-3, RandomStream(50)
         wd = worst_delta(threat, fam)
-        dual = dual_lower_bound(0.9, threat, alpha, noise_statistics(fam, wd.rationale, n, rng))
+        dual = dual_lower_bound(0.9, threat, alpha, noise_statistics(fam, n, rng))
         est = discrepancy_mc(fam, wd.vector, dual.lambda_star, n, alpha, rng)
         assert dual.lambda_star > 0.0
         assert (est.mean, est.epsilon, est.std_error) == (dual.d_mean, dual.epsilon, dual.std_error)
@@ -146,7 +147,7 @@ class TestDiscrepancyMC:
 
     def test_estimate_invariant_enforced(self):
         with pytest.raises(DomainError):
-            DiscrepancyEstimate(mean=1.5, epsilon=0.0, n=10, lam=1.0, alpha=0.5, std_error=0.0)
+            DiscrepancyEstimate(mean=1.5, epsilon=0.0, lam=1.0, std_error=0.0)
 
 
 class TestGaussianClosedForm:
@@ -254,25 +255,18 @@ class TestQuadrature:
             QuadratureGrid(n_radial=2)
 
 
-def _stats(fam, threat, n, rng):
-    # the noise_statistics of n draws on the worst-shift ray of threat
-    from smoothcert import noise_statistics
-
-    return noise_statistics(fam, worst_delta(threat, fam).rationale, n, rng)
-
-
 class TestDualLowerBound:
     def test_zero_radius_recovers_p0(self):
         # every ratio is exactly 1, so the empirical objective
         # lam (p0 - eps) - (lam - 1)_+ peaks at lam* = 1 with D_hat = 0
         fam, threat = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.0)
-        res = dual_lower_bound(0.8, threat, 1e-3, _stats(fam, threat, 20_000, RandomStream(7)))
+        res = dual_lower_bound(0.8, threat, 1e-3, noise_statistics(fam, 20_000, RandomStream(7)))
         assert res.lambda_star == 1.0 and res.d_mean == 0.0
         assert res.bound == 0.8 - hoeffding_epsilon(20_000, 1.0, 1e-3)
 
     def test_gaussian_recovery(self):
         fam, threat = SmoothingFamily.gaussian(6, 1.0), ThreatModel("l2", 0.5)
-        res = dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 200_000, RandomStream(8)))
+        res = dual_lower_bound(0.9, threat, 1e-3, noise_statistics(fam, 200_000, RandomStream(8)))
         from smoothcert import cohen_bound
 
         target = cohen_bound(0.9, 1.0, 0.5)
@@ -282,14 +276,14 @@ class TestDualLowerBound:
 
     def test_p0_half_never_certifies(self):
         fam, threat = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.25)
-        res = dual_lower_bound(0.5, threat, 1e-3, _stats(fam, threat, 50_000, RandomStream(9)))
+        res = dual_lower_bound(0.5, threat, 1e-3, noise_statistics(fam, 50_000, RandomStream(9)))
         assert res.bound < 0.5
 
     def test_equivalence_bit_exact(self):
         for d in (4, 16):
             fam = SmoothingFamily.gaussian(d, 1.0)
             a, b = (
-                dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 50_000, RandomStream(10)))
+                dual_lower_bound(0.9, threat, 1e-3, noise_statistics(fam, 50_000, RandomStream(10)))
                 for threat in (ThreatModel("linf", 0.1), ThreatModel("l2", math.sqrt(d) * 0.1))
             )
             assert a.bound == b.bound and a.lambda_star == b.lambda_star
@@ -297,7 +291,7 @@ class TestDualLowerBound:
 
     def test_domain(self):
         fam, threat = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.1)
-        stats = _stats(fam, threat, 100, RandomStream(14))
+        stats = noise_statistics(fam, 100, RandomStream(14))
         with pytest.raises(DomainError):
             dual_lower_bound(0.0, threat, 1e-3, stats)
         with pytest.raises(DomainError):
@@ -316,7 +310,7 @@ def _direct_d_mean(ratios: np.ndarray, lam: float) -> float:
 def _drawn_ratios(fam, threat, n, rng):
     from smoothcert.discrepancy import log_ratio
 
-    return np.exp(log_ratio(_stats(fam, threat, n, rng), worst_delta(threat, fam).step))
+    return np.exp(log_ratio(noise_statistics(fam, n, rng), worst_delta(threat, fam).step))
 
 
 def _objective(ratios: np.ndarray, lams: np.ndarray, p0: float, eps: float) -> np.ndarray:
@@ -329,7 +323,7 @@ class TestSortedSweep:
     def test_every_trace_point_matches_direct_sums(self):
         fam = SmoothingFamily.l2_power_tail(8, 2.0, 1.0)
         threat = ThreatModel("l2", 0.4)
-        res = dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 30_000, RandomStream(40)))
+        res = dual_lower_bound(0.9, threat, 1e-3, noise_statistics(fam, 30_000, RandomStream(40)))
         ratios = _drawn_ratios(fam, threat, 30_000, RandomStream(40))
         (pt,) = res.trace
         assert (pt.lam, pt.d_mean, pt.epsilon, pt.bound) == (
@@ -348,7 +342,7 @@ class TestSortedSweep:
         eps = hoeffding_epsilon(n, 1.0, alpha)
         ratios = np.sort(_drawn_ratios(fam, threat, n, RandomStream(41)))
         for p0, j in ((eps + 0.5 / n, 1), (0.9, math.ceil(n * (0.9 - eps)))):
-            res = dual_lower_bound(p0, threat, alpha, _stats(fam, threat, n, RandomStream(41)))
+            res = dual_lower_bound(p0, threat, alpha, noise_statistics(fam, n, RandomStream(41)))
             assert res.lambda_star == ratios[j - 1]
             direct = _direct_d_mean(ratios, res.lambda_star)
             assert abs(res.d_mean - direct) <= 1e-12 * direct
@@ -357,14 +351,14 @@ class TestSortedSweep:
     def test_zero_radius(self):
         # every ratio is exactly 1, so D_hat(lambda) = (lambda - 1)_+ and lambda* = 1
         fam, threat = SmoothingFamily.l2_power_tail(5, 1.0, 1.0), ThreatModel("l2", 0.0)
-        res = dual_lower_bound(0.8, threat, 1e-3, _stats(fam, threat, 10_000, RandomStream(42)))
+        res = dual_lower_bound(0.8, threat, 1e-3, noise_statistics(fam, 10_000, RandomStream(42)))
         assert res.lambda_star == 1.0
         assert res.trace[0].d_mean == 0.0
 
     def test_repeatable(self):
         fam, threat = SmoothingFamily.laplacian(3, 1.0), ThreatModel("l1", 0.5)
         a, b = (
-            dual_lower_bound(0.9, threat, 1e-3, _stats(fam, threat, 20_000, RandomStream(43)))
+            dual_lower_bound(0.9, threat, 1e-3, noise_statistics(fam, 20_000, RandomStream(43)))
             for _ in range(2)
         )
         assert a.trace == b.trace
@@ -380,7 +374,7 @@ class TestExactMaximizer:
     def test_beats_every_lambda_and_is_the_smallest_maximizer(self, norm, fam, r):
         n, alpha, p0 = 3_000, 1e-3, 0.93
         threat = ThreatModel(norm, r)
-        res = dual_lower_bound(p0, threat, alpha, _stats(fam, threat, n, RandomStream(49)))
+        res = dual_lower_bound(p0, threat, alpha, noise_statistics(fam, n, RandomStream(49)))
         ratios = _drawn_ratios(fam, threat, n, RandomStream(49))
         eps = hoeffding_epsilon(n, 1.0, alpha)
         lams = np.geomspace(1e-3, 1e3, 2_000)
@@ -392,7 +386,7 @@ class TestExactMaximizer:
     def test_p0_within_epsilon_gives_zero(self):
         fam, threat = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.3)
         eps = hoeffding_epsilon(3_000, 1.0, 1e-3)
-        res = dual_lower_bound(eps, threat, 1e-3, _stats(fam, threat, 3_000, RandomStream(50)))
+        res = dual_lower_bound(eps, threat, 1e-3, noise_statistics(fam, 3_000, RandomStream(50)))
         assert (res.bound, res.lambda_star, res.d_mean, res.epsilon) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -411,7 +405,7 @@ class TestDKWBand:
         root = RandomStream(62)
         covered = 0
         for rep in range(reps):
-            stats = noise_statistics(fam, wd.rationale, n, root.child(rep))
+            stats = noise_statistics(fam, n, root.child(rep))
             ratios = np.sort(np.exp(log_ratio(stats, wd.step)))
             below = np.searchsorted(ratios, lams, side="left")
             prefix = np.concatenate(([0.0], np.cumsum(ratios)))
@@ -432,7 +426,7 @@ class TestDKWBand:
         root = RandomStream(63)
         covered = 0
         for rep in range(reps):
-            stats = _stats(fam, threat, n, root.child(rep))
+            stats = noise_statistics(fam, n, root.child(rep))
             covered += all(dual_lower_bound(p0, threat, alpha, stats).bound <= bound + 1e-12
                            for p0, bound in zip(p0s, exact))
         assert covered / reps >= 1.0 - alpha
@@ -472,7 +466,7 @@ class TestShiftStatistics:
             near = rng.standard_normal((200, fam.dim))
             near *= rng.uniform(1e-9, 1e-6, size=(200, 1)) / np.linalg.norm(near, axis=1, keepdims=True)
             z[:200] = wd.vector + near
-            got = log_ratio(shift_statistics(fam, wd.rationale, z), wd.step)
+            got = log_ratio(shift_statistics(fam, z), wd.step)
             ref = _log_ratio_batch(fam, z, wd.vector)
             # log scale, so 1e-12 here is 1e-12 relative on the ratio
             assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
@@ -484,17 +478,23 @@ class TestShiftStatistics:
 
         wd = worst_delta(ThreatModel(norm, 0.0), fam)
         z = sample(fam, 5_000, RandomStream(46)).points
-        assert np.all(np.exp(log_ratio(shift_statistics(fam, wd.rationale, z), 0.0)) == 1.0)
+        assert np.all(np.exp(log_ratio(shift_statistics(fam, z), 0.0)) == 1.0)
 
-    def test_rejects_a_ray_of_another_family(self):
-        from smoothcert.discrepancy import noise_statistics, shift_statistics
-
-        with pytest.raises(DomainError):
-            shift_statistics(SmoothingFamily.mixed_norm(3, 1.0, 1.0), "L2Boundary", np.ones((2, 3)))
-        fam = SmoothingFamily.l2_power_tail(3, 1.0, 1.0)
-        stats = noise_statistics(fam, "L2Boundary", 1_000, RandomStream(47))
-        with pytest.raises(DomainError):
-            dual_lower_bound(0.9, ThreatModel("linf", 0.1), 1e-3, stats)
+    def test_belong_to_the_family(self):
+        # one draw serves every threat norm of its family: linf r and l2
+        # sqrt(d) r read the same e1 axis, bit for bit; a norm the family
+        # has no theorem for is refused
+        for d in (4, 16):
+            stats = noise_statistics(SmoothingFamily.l2_power_tail(d, 1.0, 1.0), 1_000, RandomStream(47))
+            a, b = (
+                dual_lower_bound(0.9, threat, 1e-3, stats)
+                for threat in (ThreatModel("linf", 0.1), ThreatModel("l2", math.sqrt(d) * 0.1))
+            )
+            fields = ("bound", "lambda_star", "d_mean", "epsilon", "std_error")
+            assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+        stats = noise_statistics(SmoothingFamily.laplacian(3, 1.0), 1_000, RandomStream(47))
+        with pytest.raises(UnsupportedError):
+            dual_lower_bound(0.9, ThreatModel("l2", 0.1), 1e-3, stats)
 
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_radius_search_holds_statistics_only(self, monkeypatch, blocks):
@@ -519,7 +519,7 @@ class TestShiftStatistics:
         certified_radius_search(
             Constant(1), np.zeros(5), "linf", r_max=1.0, n1=1000,
             budget=ConfidenceBudget.split(0.002), rng=rng,
-            stats=noise_statistics(fam, "LinfVertex", n2, rng.child(1)),
+            stats=noise_statistics(fam, n2, rng.child(1)),
         )
         assert len(seen) == 12 and all(s is seen[0] for s in seen)
         stats = seen[0]
@@ -537,10 +537,9 @@ class TestShiftStatistics:
         from smoothcert.discrepancy import noise_statistics, shift_statistics
 
         n, rng = 25_000, RandomStream(51)
-        rationale = worst_delta(ThreatModel(norm, 0.1), fam).rationale
-        blocks = [shift_statistics(fam, rationale, b) for b in sample_chunks(fam, n, rng.child(0))]
+        blocks = [shift_statistics(fam, b) for b in sample_chunks(fam, n, rng.child(0))]
         assert len(blocks) >= 2
-        got = noise_statistics(fam, rationale, n, rng)
+        got = noise_statistics(fam, n, rng)
         assert got.n == n
         for col, parts in zip(got.columns, zip(*(b.columns for b in blocks)), strict=True):
             assert np.array_equal(col, np.concatenate(parts))
@@ -578,8 +577,8 @@ class TestDirectStatistics:
         from smoothcert.discrepancy import log_ratio, noise_statistics, shift_statistics
 
         n = 20_000
-        direct = noise_statistics(fam, rationale, n, RandomStream(52))
-        full = shift_statistics(fam, rationale, sample(fam, n, RandomStream(53)).points)
+        direct = noise_statistics(fam, n, RandomStream(52))
+        full = shift_statistics(fam, sample(fam, n, RandomStream(53)).points)
         r = 0.5 * fam.scale
         pairs = list(zip(direct.columns, full.columns)) + [
             (log_ratio(direct, r), log_ratio(full, r))
@@ -601,7 +600,7 @@ class TestDirectStatistics:
         from smoothcert.discrepancy import noise_statistics
 
         n, rng = 4_001, RandomStream(54)
-        got = noise_statistics(fam, rationale, n, rng)
+        got = noise_statistics(fam, n, rng)
         g = rng.child(0).generator()
         d, k = fam.dim, fam.k
         if rationale == "L1Boundary":
@@ -627,6 +626,4 @@ class TestDirectStatistics:
 
         fam = SmoothingFamily.gaussian(3, 1.0)
         with pytest.raises(DomainError):
-            noise_statistics(fam, "L2Boundary", 0, RandomStream(55))
-        with pytest.raises(DomainError):
-            noise_statistics(fam, "L1Boundary", 10, RandomStream(55))
+            noise_statistics(fam, 0, RandomStream(55))

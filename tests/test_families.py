@@ -362,7 +362,7 @@ class TestOriginDraws:
     def test_direct_statistics_raise(self):
         family = SmoothingFamily.l2_power_tail(2, 1.9999, 1.0)
         with pytest.raises(DomainError, match="d=2, k=1.9999"):
-            noise_statistics(family, "L2Boundary", 10_000, RandomStream(66))
+            noise_statistics(family, 10_000, RandomStream(66))
 
     @pytest.mark.parametrize("variant", ["mixed_norm", "l2_power_tail"])
     def test_k_equal_d_minus_one_still_draws(self, variant):

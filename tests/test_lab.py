@@ -246,7 +246,7 @@ class TestParetoSweep:
             for block in sample_chunks(family, n, rng.child(k_values.index(p.k))):
                 hits += int(evaluate(truth, x0 + block).sum())
                 with np.errstate(over="ignore"):
-                    ratio = np.exp(log_ratio(shift_statistics(family, wd.rationale, block), wd.step))
+                    ratio = np.exp(log_ratio(shift_statistics(family, block), wd.step))
                 terms.append(np.maximum(1.0 - ratio, 0.0))
             robustness = float(np.concatenate(terms).mean())
             assert round(p.accuracy * n) == hits
