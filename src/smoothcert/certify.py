@@ -238,10 +238,11 @@ def gaussian_bilateral_radius(pa: Probability, pb: Probability, sigma: float) ->
 
 
 def _p0_lower(classifier: Classifier, x0: np.ndarray, family: SmoothingFamily, n1: int,
-              budget: ConfidenceBudget, rng: RandomStream) -> float:
+              budget: ConfidenceBudget, rng: RandomStream, workers: int) -> float:
     """Stage 1 of both pipelines: the level-alpha_p0 lower bound on p0 from
-    the classifier's successes on n1 draws from ``rng.child(0)``."""
-    evidence = success_counts(classifier, x0, family, n1, rng.child(0))
+    the classifier's successes on n1 draws from ``rng.child(0)``, whose
+    shards ``workers`` threads count."""
+    evidence = success_counts(classifier, x0, family, n1, rng.child(0), workers)
     return clopper_pearson_lower(evidence, budget.alpha_p0)
 
 
@@ -254,6 +255,7 @@ def certify(
     rng: RandomStream,
     stats: ShiftStatistics,
     input_id: str = "x0",
+    workers: int = 1,
 ) -> Certificate:
     """Certification of one input.
 
@@ -263,10 +265,12 @@ def certify(
     the smoothing family, read at ``threat``'s worst shift) at level
     alpha_mc. Certified iff the bound exceeds 1/2; if p0_lower cannot
     clear 1/2 the pipeline abstains. A threat with no worst-shift
-    theorem for the family raises before anything is drawn.
+    theorem for the family raises before anything is drawn. ``workers``
+    sizes the thread pool that counts the stage-1 shards
+    (``success_counts``); it changes no result.
     """
     worst_delta(threat, stats.family)
-    p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng)
+    p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng, workers)
     dual = None
     if p0_lower > 0.5:
         dual = dual_lower_bound(p0_lower, threat, budget.alpha_mc, stats)
@@ -293,10 +297,12 @@ def certified_radius_search(
     stats: ShiftStatistics,
     iterations: int = 12,
     r_step: float | None = None,
+    workers: int = 1,
 ) -> tuple[float, Certificate | None]:
     """Largest certified radius by bisection on r in [0, r_max].
 
-    Stage 1 runs once, as in ``certify`` (p0 does not depend on r), and
+    Stage 1 runs once, as in ``certify`` (p0 does not depend on r, and
+    ``workers`` threads count its shards), and
     every probe reads ``stats``, the statistics of the family: only the
     radius along its ray changes, so the search draws nothing else and
     a probe costs O(n2). Each probe is a rigorous certificate at its
@@ -309,7 +315,7 @@ def certified_radius_search(
     """
     _check_search(r_max, iterations, r_step)
     worst_delta(ThreatModel(threat_norm, r_max), stats.family)
-    p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng)
+    p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng, workers)
     if p0_lower <= 0.5:
         return 0.0, None
 

@@ -20,6 +20,7 @@ import os
 import selectors
 import subprocess
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from scipy import integrate
 from scipy.special import betainc, gammainc
 
 from .errors import DomainError, TransportError, UnsupportedError
-from .families import SmoothingFamily, sample_chunks
+from .families import SmoothingFamily, sample_chunks, shard_count
 from .rng import RandomStream
 
 
@@ -91,7 +92,7 @@ class BallIndicator:
         diff = points - self.center
         if self.norm == "l2":
             with np.errstate(over="ignore"):
-                dist = np.linalg.norm(diff, axis=1)
+                dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
                 if not (dist.min(initial=np.inf) >= _SQRT_TINY and dist.max(initial=0.0) < np.inf):
                     # squares overflowed or underflowed: redo those rows scaled by their max |entry|
                     redo = ~(dist < np.inf) | (dist < _SQRT_TINY)
@@ -323,12 +324,17 @@ def success_counts(
     family: SmoothingFamily,
     n: int,
     rng: RandomStream,
+    workers: int = 1,
 ) -> BinomialEvidence:
     """Count f(x0 + z) = 1 over n smoothing draws.
 
     Dimensions are validated before any sampling, so a mismatch
-    consumes zero samples. Draws stream in fixed-size blocks; the count
-    is reproducible for a fixed (seed, stream_id).
+    consumes zero samples. The draws are the fixed shards of
+    ``sample_chunks`` and the count sums their counts in shard order,
+    so it depends only on (family, n, rng). With ``workers > 1`` an
+    in-process classifier counts the shards on a pool of that many
+    threads; an ``ExternalClassifier`` drives its one subprocess from
+    the calling thread.
     """
     if n < 1:
         raise DomainError(f"success_counts requires n >= 1, got {n}")
@@ -340,10 +346,20 @@ def success_counts(
         raise DomainError(
             f"dimension mismatch: classifier expects d={cdim}, family has d={family.dim}"
         )
-    successes = 0
-    for block in sample_chunks(family, n, rng):
-        block += x0  # each block is a fresh array: shift it in place
-        successes += int(classifier.labels(block).sum())
+
+    def count(shards: slice) -> int:
+        successes = 0
+        for block in sample_chunks(family, n, rng, shards):
+            block += x0  # each block is a fresh array: shift it in place
+            successes += int(classifier.labels(block).sum())
+        return successes
+
+    total = shard_count(family, n)
+    if workers > 1 and total > 1 and not isinstance(classifier, ExternalClassifier):
+        with ThreadPoolExecutor(max_workers=min(workers, total)) as pool:
+            successes = sum(pool.map(count, [slice(i, i + 1) for i in range(total)]))
+    else:
+        successes = count(slice(None))
     return BinomialEvidence(successes=successes, trials=n)
 
 

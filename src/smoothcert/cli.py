@@ -7,8 +7,10 @@ checks all of its keys and builds its engine objects before any work.
 Every output file embeds the resolved configuration and the engine
 version, and reruns with an identical (config, seed) pair produce
 byte-identical result.json files. Each Monte Carlo stage draws from one random stream,
-so ``workers`` changes no result: it only sizes the thread pools that
-run the inputs of ``certify`` and the (variant, k) groups of ``pareto``.
+in shards fixed in code, so ``workers`` changes no result: it only sizes
+the thread pools that run the inputs of ``certify``, the (variant, k)
+groups of ``pareto`` and, where no such pool runs (``radius``, and
+``certify`` of one input), the stage-1 shards.
 
 Exit codes: 0 success, 1 verification checks failed, 2 config error,
 3 classifier transport error; 4 is reserved (once a sampler abort).
@@ -68,7 +70,7 @@ RADIUS_CAP = 1e12  # radii, coordinates and weights: r^2 and w . x stay finite
 MAX_COUNT = 10**9  # draws per stage
 MAX_WORKERS = 64
 # Up to 1e6 covers image sizes (CIFAR-10 is 3072, ImageNet 150,528) and
-# keeps one ``sample_chunks`` block at its fixed 4e6 scalars (32 MB).
+# keeps a ``sample_chunks`` shard (at most 4e6 scalars, 32 MB) at 4 rows or more.
 MAX_DIM = 10**6
 MAX_ITERATIONS = 64  # bisection halvings; 53 already reach double resolution
 MAX_BATCH = 10**6  # EVAL rows per request
@@ -367,9 +369,14 @@ def _certify(top: dict) -> Job:
         # one stage-2 draw serves every input, on a stream no root.child(idx) reaches
         stats = noise_statistics(family, counts["n2"], root.child(MAX_INPUTS))
 
+        # one input counts its stage-1 shards on the pool; several run one
+        # input per pool thread, each counting serially, with no nested pools
+        shard_workers = workers if len(inputs) == 1 else 1
+
         def one(idx: int) -> Certificate:
             return certify(classifier, inputs[idx], threat, counts["n1"], budget,
-                           root.child(idx), stats, input_id=f"input{idx}")
+                           root.child(idx), stats, input_id=f"input{idx}",
+                           workers=shard_workers)
 
         # the external adapter is single-threaded per connection, so it
         # never enters the thread pool
@@ -423,6 +430,7 @@ def _radius(top: dict) -> Job:
         radius, cert = _closing(classifier, lambda: certified_radius_search(
             classifier, x0, norm, r_max, counts["n1"], budget, root,
             noise_statistics(family, counts["n2"], root.child(1)), **search,
+            workers=top["workers"],
         ))
         body = {"radius": radius, "certified": radius > 0.0,
                 "certificate": cert.to_dict() if cert is not None else None}

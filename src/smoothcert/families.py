@@ -51,9 +51,12 @@ _SIGMA_VARIANTS = frozenset({"gaussian", "l2_power_tail", "linf_pure", "mixed_no
 # nor vanishes in the density ratios.
 _SCALE_RANGE = (1e-150, 1e150)
 
-# Chunk budget (scalars per block) for streaming draws; fixed so that
-# chunked and repeated runs consume the generator identically.
+# Shard size of streaming draws: R(d) = max(1, min(_SHARD_ROWS,
+# _CHUNK_SCALARS // d)) rows, at most 4e6 scalars (32 MB) per shard.
+# Fixed in code, so a given (family, n, rng) draws the same rows
+# whoever reads them and however many threads count them.
 _CHUNK_SCALARS = 4_000_000
+_SHARD_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -340,8 +343,7 @@ def _draw(family: SmoothingFamily, n: int, g: np.random.Generator) -> np.ndarray
         radius = family.sigma * np.sqrt(2.0 * _nonzero_radius(
             g.gamma((d - k) / 2.0, 1.0, size=n), v, d, k))
         points = g.standard_normal((n, d))
-        points /= np.linalg.norm(points, axis=1, keepdims=True)
-        points *= radius[:, None]
+        points *= (radius / np.sqrt(np.einsum("ij,ij->i", points, points)))[:, None]
         return points
     if v == "l1_power_tail":
         radius = _nonzero_radius(g.gamma(d - k, family.b, size=n), v, d, k)
@@ -370,24 +372,33 @@ def sample(family: SmoothingFamily, n: int, rng: RandomStream) -> SampleBatch:
     return SampleBatch(points=_draw(family, n, rng.generator()), family=family)
 
 
-def sample_chunks(
-    family: SmoothingFamily, n: int, rng: RandomStream
-) -> Iterator[np.ndarray]:
-    """Stream n draws in fixed-size blocks from one generator.
+def _shard_rows(dim: int) -> int:
+    return max(1, min(_SHARD_ROWS, _CHUNK_SCALARS // dim))
 
-    Lets consumers reduce over large batches (norms, labels) without
-    materializing n x d. The block size is a fixed code constant, so a
-    given (family, n, rng) always consumes the stream identically.
+
+def shard_count(family: SmoothingFamily, n: int) -> int:
+    """Number of shards of a ``sample_chunks`` draw of n rows."""
+    return -(-n // _shard_rows(family.dim))
+
+
+def sample_chunks(
+    family: SmoothingFamily, n: int, rng: RandomStream, shards: slice = slice(None)
+) -> Iterator[np.ndarray]:
+    """Stream n draws in fixed shards, one block per shard.
+
+    Shard i holds rows i R .. min(n, (i + 1) R) - 1 of the n, with
+    R = max(1, min(2^14, 4e6 // d)), and is drawn alone from
+    ``rng.shard(i)``. So every row depends only on (family, n, rng), and
+    ``shards`` (a slice of the shard indices, default all of them, in
+    order) draws some shards without the ones before them, which lets a
+    pool map the shards over threads. Consumers reduce block by block
+    (norms, labels) without materializing n x d.
     """
     if n < 1:
         raise DomainError(f"sample_chunks requires n >= 1, got {n}")
-    g = rng.generator()
-    rows = max(1, _CHUNK_SCALARS // family.dim)
-    remaining = n
-    while remaining > 0:
-        m = min(rows, remaining)
-        yield _draw(family, m, g)
-        remaining -= m
+    rows = _shard_rows(family.dim)
+    for i in range(shard_count(family, n))[shards]:
+        yield _draw(family, min(rows, n - i * rows), rng.shard(i).generator())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ Every source of randomness in the engine flows through a
 reproduce identical variate sequences; there is no global RNG state.
 Derived streams (``child``) are collision-free for tags below the
 fan-out bound, so pipelines can hand disjoint streams to sub-stages,
-inputs and sweep configurations.
+inputs and sweep configurations. A sharded draw takes shard i from
+``shard(i)``, a fixed-depth path of child tags, so it can draw any
+shard alone and stays disjoint beyond ``MAX_CHILDREN`` shards.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .errors import DomainError
 
 _CHILD_FANOUT = 1024
 MAX_CHILDREN = _CHILD_FANOUT - 1  # child tags run 0 .. MAX_CHILDREN - 1
+MAX_SHARDS = MAX_CHILDREN**3  # shard indices run 0 .. MAX_SHARDS - 1 (over 1e9)
 
 
 @dataclass(frozen=True)
@@ -43,3 +46,17 @@ class RandomStream:
         if not 0 <= tag < MAX_CHILDREN:
             raise DomainError(f"child tag must be in [0, {MAX_CHILDREN - 1}], got {tag}")
         return RandomStream(self.seed, self.stream_id * _CHILD_FANOUT + tag + 1)
+
+    def shard(self, index: int) -> "RandomStream":
+        """Stream of shard ``index`` of a draw sharded on this stream.
+
+        It is the descendant reached by the three child tags
+        (index // F^2, index // F % F, index % F), F = MAX_CHILDREN. Every
+        shard sits at the same depth, so distinct indices reach distinct
+        streams; they stay disjoint from every stream outside this one's
+        subtree, so the caller must hand no other descendant of it out.
+        """
+        if not 0 <= index < MAX_SHARDS:
+            raise DomainError(f"shard index must be in [0, {MAX_SHARDS - 1}], got {index}")
+        f = MAX_CHILDREN
+        return self.child(index // (f * f)).child(index // f % f).child(index % f)

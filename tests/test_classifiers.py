@@ -126,6 +126,35 @@ class TestSuccessCounts:
         ref = sum(int(clf.labels(x0 + block).sum()) for block in sample_chunks(fam, n, rng))
         assert got.successes == ref and 0 < ref < n
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_pooled_shards_match_the_serial_sum(self, monkeypatch, workers):
+        # the pool counts each shard alone; the sum is the serial sum over the blocks
+        from smoothcert import families, sample_chunks
+
+        monkeypatch.setattr(families, "_SHARD_ROWS", 4_000)
+        fam = SmoothingFamily.l2_power_tail(6, 2.0, 1.0)
+        x0 = np.array([0.7, -0.3, 0.2, 0.0, 1.1, -0.9])
+        clf = BallIndicator("l2", np.full(6, 0.5), 2.0)
+        n, rng = 30_001, RandomStream(6)
+        blocks = list(sample_chunks(fam, n, rng))
+        assert len(blocks) == 8
+        ref = sum(int(clf.labels(x0 + block).sum()) for block in blocks)
+        assert success_counts(clf, x0, fam, n, rng, workers=workers).successes == ref
+        assert success_counts(clf, x0, fam, n, rng).successes == ref
+
+    def test_external_stage_one_over_shards_counts_like_the_ball(self, monkeypatch):
+        # the adapter counts the shards serially on its one worker, at any workers
+        from smoothcert import families
+
+        monkeypatch.setattr(families, "_SHARD_ROWS", 1_500)
+        fam, n, rng = SmoothingFamily.l2_power_tail(4, 1.0, 1.0), 5_000, RandomStream(9)
+        x0 = np.array([0.4, 0.0, -0.2, 0.1])
+        ref = success_counts(BallIndicator("l2", np.zeros(4), 1.6), x0, fam, n, rng)
+        assert 0 < ref.successes < n
+        with ExternalClassifier(WORKER + ["ball-l2", "--radius", "1.6"], batch_size=512) as ext:
+            got = success_counts(ext, x0, fam, n, rng, workers=2)
+        assert got == ref
+
 
 class TestExactSmoothedValue:
     def test_full_mass(self):

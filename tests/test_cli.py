@@ -416,6 +416,46 @@ class TestWorkerInvariance:
             bodies.append(json.dumps(result, sort_keys=True))
         assert bodies[0] == bodies[1] == bodies[2]
 
+    @pytest.mark.parametrize("command", ["certify", "radius"])
+    def test_stage_one_shards_do_not_depend_on_workers(self, tmp_path, monkeypatch, command):
+        # one input: the stage-1 shards run on the pool, each drawn through
+        # sample_chunks on a pool thread, and result.json is byte-identical
+        import threading
+
+        from smoothcert import classifiers, families
+
+        monkeypatch.setattr(families, "_SHARD_ROWS", 700)
+        real, threads = classifiers.sample_chunks, []
+
+        def recording(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(classifiers, "sample_chunks", recording)
+        cfg = {
+            "seed": 23,
+            "family": {"variant": "l2_power_tail", "dim": 6, "k": 2.0, "sigma": 1.0},
+            "counts": {"n1": 2000, "n2": 20_001},
+            "budget": {"alpha_total": 0.002},
+            "classifier": {"kind": "ball", "norm": "l2", "center": [0.0] * 6, "radius": 6.0},
+            "inputs": {"vectors": [[0.3] + [0.0] * 5]},
+        }
+        if command == "certify":
+            cfg["threat"] = {"norm": "l2", "radius": 0.4}
+        else:
+            cfg["search"] = {"norm": "l2", "r_max": 3.0}
+        bodies = []
+        for workers in (1, 2, 4):
+            out = tmp_path / f"w{workers}"
+            path = write_config(tmp_path, {**cfg, "out": str(out)}, name=f"w{workers}.json")
+            threads.clear()
+            assert run_cli([command, "--config", path, "--workers", str(workers)]) == 0
+            on_pool = [t != threading.get_ident() for t in threads]
+            assert on_pool == ([False] if workers == 1 else [True] * 3)
+            bodies.append((out / "result.json").read_bytes().replace(
+                f'"workers": {workers}'.encode(), b"").replace(str(out).encode(), b""))
+        assert bodies[0] == bodies[1] == bodies[2]
+
 
 class TestCertifyCommand:
     def test_end_to_end_and_reproducible(self, tmp_path):
@@ -463,8 +503,8 @@ class TestCertifyCommand:
 
     def test_every_input_reads_the_shared_draw(self, tmp_path):
         # each certificate is dual_lower_bound at its own p0_lower on the one
-        # draw of stream root.child(MAX_INPUTS); stage 1 of input idx draws on
-        # root.child(idx).child(0), so its p0_lower values are frozen here
+        # draw of stream root.child(MAX_INPUTS); stage 1 of input idx draws the
+        # shards of root.child(idx).child(0), so its p0_lower values are frozen here
         from smoothcert import RandomStream, SmoothingFamily, ThreatModel, dual_lower_bound
         from smoothcert.cli import MAX_INPUTS
         from smoothcert.discrepancy import noise_statistics
@@ -478,7 +518,7 @@ class TestCertifyCommand:
         assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 0
         certs = json.loads((out / "result.json").read_text())["certificates"]
         assert [c["p0_lower"] for c in certs] == [
-            0.9717731028820938, 0.9298335327880004, 0.41908748773554694]
+            0.9789826241354583, 0.9432267199419356, 0.4816545573121209]
         assert [c["status"] for c in certs] == ["certified", "certified", "abstain"]
         threat = ThreatModel("l2", 0.5)
         shared = noise_statistics(SmoothingFamily.gaussian(4, 1.0), 20_000,
@@ -563,11 +603,11 @@ class TestSampleCommand:
         assert result["radius_stats"]["mode"] == pytest.approx(np.sqrt(3.0))
 
     def test_streams_blocks(self, tmp_path, monkeypatch):
-        # three sample_chunks blocks: the file holds exactly their rows, and
+        # three sample_chunks shards: the file holds exactly their rows, and
         # the norm moments combine across blocks
         from smoothcert import RandomStream, SmoothingFamily, families, sample_chunks
 
-        monkeypatch.setattr(families, "_CHUNK_SCALARS", 6 * 100)
+        monkeypatch.setattr(families, "_SHARD_ROWS", 100)
         out = tmp_path / "run"
         cfg = {
             "seed": 3, "workers": 1, "out": str(out), "n": 250,
@@ -670,8 +710,8 @@ class TestRadiusSearchCommand:
 
     def test_draws_stage_two_once(self, tmp_path, monkeypatch):
         # the job draws the search's statistics once, straight from their law,
-        # on RandomStream(seed).child(1); the values are frozen from the run
-        # in which the search drew them itself on that stream
+        # on RandomStream(seed).child(1); stage 1 draws the shards of
+        # RandomStream(seed).child(0), and the values are frozen here
         from smoothcert import discrepancy
 
         drawn: list[int] = []
@@ -698,7 +738,7 @@ class TestRadiusSearchCommand:
         result = json.loads((out / "result.json").read_text())
         cert = result["certificate"]
         assert (result["radius"], cert["p0_lower"], cert["bound"]) == (
-            1.418701171875, 0.935875415061222, 0.5001035339687152)
+            1.386474609375, 0.9310364471745285, 0.5000722065883638)
 
 
 class TestVerifyCommand:

@@ -175,20 +175,46 @@ class TestSamplers:
         assert np.array_equal(a.points, b.points)
 
     def test_l2_power_tail_matches_out_of_place_formula(self):
-        # the draw scales the unit directions in place; the values must be
-        # exactly those of radius * (u / ||u||) from the same generator
+        # the draw scales each normal row in place, once; the values must be
+        # exactly those of u * (radius / ||u||) from the same generator
         fam, n = SmoothingFamily.l2_power_tail(7, 2.0, 1.3), 4_000
         rng = RandomStream(15, 3)
         g = rng.generator()
         radius = fam.sigma * np.sqrt(2.0 * g.gamma((fam.dim - fam.k) / 2.0, 1.0, size=n))
         u = g.standard_normal((n, fam.dim))
-        expected = radius[:, None] * (u / np.linalg.norm(u, axis=1, keepdims=True))
+        expected = u * (radius / np.sqrt(np.einsum("ij,ij->i", u, u)))[:, None]
         assert np.array_equal(sample(fam, n, rng).points, expected)
 
     def test_chunked_draws_cover_n(self):
         fam = SmoothingFamily.gaussian(1000, 1.0)
         total = sum(block.shape[0] for block in sample_chunks(fam, 12_345, RandomStream(16)))
         assert total == 12_345
+
+    def test_shards_draw_alone(self, monkeypatch):
+        # shard i of the n rows comes from its own stream, without shards 0 .. i-1
+        from smoothcert import families
+
+        monkeypatch.setattr(families, "_SHARD_ROWS", 400)
+        fam, n, rng = SmoothingFamily.mixed_norm(3, 1.0, 1.0), 1_000, RandomStream(18)
+        blocks = list(sample_chunks(fam, n, rng))
+        assert [len(b) for b in blocks] == [400, 400, 200]
+        for i, block in enumerate(blocks):
+            (alone,) = sample_chunks(fam, n, rng, slice(i, i + 1))
+            assert np.array_equal(alone, block)
+        (last,) = sample_chunks(fam, n, rng, slice(2, None))
+        assert np.array_equal(last, sample(fam, 200, rng.shard(2)).points)
+
+    def test_shards_beyond_the_child_fanout(self, monkeypatch):
+        # one row per shard: 2,000 shards outrun the 1023 child tags of a stream,
+        # yet every shard has a stream of its own
+        from smoothcert import families
+
+        monkeypatch.setattr(families, "_SHARD_ROWS", 1)
+        fam, n, rng = SmoothingFamily.gaussian(2, 1.0), 2_000, RandomStream(19)
+        rows = np.concatenate(list(sample_chunks(fam, n, rng)))
+        assert rows.shape == (n, 2) and np.isfinite(rows).all()
+        assert np.array_equal(rows, np.concatenate(list(sample_chunks(fam, n, rng))))
+        assert len(np.unique(rows, axis=0)) == n
 
     def test_mixed_norm_high_power_draws(self):
         # (50, 40) starved the old rejection sampler (acceptance below 1e-6)
