@@ -2,10 +2,11 @@
 
 Synthetic classifiers (constant, ball indicator, halfspace) are exact
 and serve as ground truth in tests and experiments. External models in
-any runtime are certified through a line-delimited stdio protocol:
+any runtime are certified through a stdio protocol:
 
-    request:  "EVAL <n> <d>\\n" followed by n lines of d space-separated
-              decimal floats (17 significant digits, an exact round trip)
+    request:  "EVAL64 <n> <d>\\n" followed by exactly 8*n*d bytes: the n
+              rows, row-major, as little-endian IEEE-754 float64, so
+              every bit pattern crosses unchanged
     response: n lines, each "0" or "1", in request order
 
 Only hard labels cross the boundary. A reference worker implementing
@@ -124,9 +125,10 @@ class Halfspace:
         return (points @ self.w >= self.c).astype(np.int8)
 
 
-# Where the OS allows it (Linux), the request pipe holds about three
-# default batches at d = 16, so the worker parses one batch while the
-# next is formatted instead of waking the adapter every few kilobytes.
+# Where the OS allows it (Linux), the request pipe holds about eight
+# default batches at d = 16 (128 KiB each), so the worker labels one
+# batch while the next ones are written instead of waking the adapter
+# every few kilobytes.
 _PIPE_BYTES = 1 << 20
 
 
@@ -214,17 +216,15 @@ class ExternalClassifier:
 
     @staticmethod
     def _request(block: np.ndarray) -> bytes:
-        # 17 significant digits round-trip every finite double: %g is correctly rounded
         n, d = block.shape
-        row = b" ".join([b"%.17g"] * d) + b"\n"
-        return b"EVAL %d %d\n" % (n, d) + (row * n) % tuple(block.ravel().tolist())
+        return b"EVAL64 %d %d\n" % (n, d) + np.ascontiguousarray(block, dtype="<f8").tobytes()
 
     def _transfer(self, proc: subprocess.Popen, points: np.ndarray) -> list[bytes]:
         """Send ``points`` in batches and read one reply line per row.
 
-        Requests are formatted and written only as fast as the pipe
+        Requests are encoded and written only as fast as the pipe
         takes them, and replies are read in between, all on this thread:
-        the worker can parse one batch while the next is formatted, and
+        the worker can label one batch while the next is written, and
         a worker that answers each row as it reads it never blocks on a
         full reply pipe. Each batch must be answered within
         ``timeout_ms`` of the previous batch's answer.

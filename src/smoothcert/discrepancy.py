@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr
@@ -96,6 +97,24 @@ class ShiftStatistics:
     @property
     def ray(self) -> str:
         return _RAY[self.family.variant]
+
+    # Computed once per statistics, not at every radius. Pool threads
+    # that race here compute the same array, so no lock is needed.
+    @cached_property
+    def base_norm(self) -> np.ndarray:
+        """``_ray_norm`` at r = 0 (read-only), for linf_pure's exponent."""
+        norm = _ray_norm(self, 0.0)
+        norm.flags.writeable = False
+        return norm
+
+    @cached_property
+    def log_base_norm(self) -> np.ndarray:
+        """log of ``_ray_norm`` at r = 0 (read-only), for the power term."""
+        out = _ray_norm(self, 0.0)
+        with np.errstate(divide="ignore"):
+            np.log(out, out=out)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -274,28 +293,35 @@ def log_ratio(stats: ShiftStatistics, r: float) -> np.ndarray:
       mr = ||z - r 1||_inf.
 
     A power term adds -k (log ||z - delta|| - log ||z||) in the
-    family's power norm.
+    family's power norm; the shift-free norm and its log are cached on
+    ``stats``. The result is a fresh array that callers may overwrite.
     """
     family = stats.family
-    if stats.ray == "LinfVertex":
-        if family.variant == "mixed_norm":
-            s = stats.columns[0]
-            out = (2.0 * (s * r) - family.dim * (r * r)) / (2.0 * family.sigma**2)
-        else:
-            shifted, base = _ray_norm(stats, r), _ray_norm(stats, 0.0)
-            out = (base - shifted) * (base + shifted) / (2.0 * family.sigma**2)
-        power = family.k
+    shifted = None
+    if family.variant == "linf_pure":
+        shifted, base = _ray_norm(stats, r), stats.base_norm
+        out = np.subtract(base, shifted)
+        out *= base + shifted
+        out /= 2.0 * family.sigma**2
     elif stats.ray == "L1Boundary":
         t = stats.columns[0]
-        out = (np.abs(t - 0.0) - np.abs(t - r)) / family.b
-        power = family.k
-    else:
-        t = stats.columns[0]
-        out = (2.0 * (t * r) - r * r) / (2.0 * family.sigma**2)
-        power = 0.5 * family.k  # the l2 ray norm is squared
+        out = np.subtract(t, r)
+        np.abs(out, out=out)
+        np.subtract(np.abs(t), out, out=out)
+        out /= family.b
+    else:  # the dot-product form: one coordinate on the e1 axis, d on the vertex ray
+        m = family.dim if stats.ray == "LinfVertex" else 1
+        out = np.multiply(stats.columns[0], r)
+        out *= 2.0
+        out -= m * (r * r)
+        out /= 2.0 * family.sigma**2
     if family.has_power_term:
+        shifted = _ray_norm(stats, r) if shifted is None else shifted
         with np.errstate(divide="ignore"):
-            out = out - power * (np.log(_ray_norm(stats, r)) - np.log(_ray_norm(stats, 0.0)))
+            np.log(shifted, out=shifted)
+        shifted -= stats.log_base_norm
+        shifted *= 0.5 * family.k if stats.ray == "L2Boundary" else family.k  # l2 norms are squared
+        out -= shifted
     return out
 
 
@@ -387,8 +413,9 @@ def discrepancy_mc(
     direction = np.ones(family.dim) if ray == "LinfVertex" else np.eye(1, family.dim)[0]
     if not np.array_equal(delta, delta[0] * direction):
         raise DomainError(f"delta must be r times the {ray} direction of {family.variant!r}")
+    ratios = log_ratio(noise_statistics(family, n, rng), float(delta[0]))
     with np.errstate(over="ignore"):
-        ratios = np.exp(log_ratio(noise_statistics(family, n, rng), float(delta[0])))
+        np.exp(ratios, out=ratios)
     return _estimate(ratios, lam, alpha)
 
 
@@ -629,8 +656,9 @@ def dual_lower_bound(
         raise DomainError(f"alpha_mc must be in (0, 1/2] for the DKW band, got {alpha_mc}")
     wd = worst_delta(threat, stats.family)
     n = stats.n
+    ratios = log_ratio(stats, wd.step)
     with np.errstate(over="ignore"):
-        ratios = np.exp(log_ratio(stats, wd.step))
+        np.exp(ratios, out=ratios)
     slope = p0_lower - hoeffding_epsilon(n, 1.0, alpha_mc)
     lam = 0.0
     if slope > 0.0:

@@ -2,7 +2,9 @@
 
 Runs one of the built-in synthetic classifiers behind the wire
 protocol, for loopback/integration testing of the external-classifier
-adapter and as a template for wrapping real models:
+adapter and as a template for wrapping real models. Each request is a
+line "EVAL64 <n> <d>" followed by exactly 8*n*d bytes, the n rows as
+row-major little-endian float64; the reply is n lines, each "0" or "1":
 
     python -m smoothcert.eval_worker ball-l2 --radius 1.0
     python -m smoothcert.eval_worker ball-linf --radius 3.0 --center 0,0,1
@@ -12,9 +14,11 @@ adapter and as a template for wrapping real models:
 Balls are centred at the origin and the halfspace weight is e1 unless
 ``--center`` or ``--w`` is given. A given vector must have the length d
 of each batch's rows. On such a mismatch, or any other malformed
-request, the worker prints one line to stderr and exits 1. The l2 distance and the dot product are left-to-right sums
-of the rows' terms, so only labels within rounding of the boundary can
-differ from the in-process classifiers'.
+request (another keyword, a count that is not an integer, n < 0, d < 1,
+or a body cut short by the end of input), the worker prints one line to
+stderr and exits 1. The l2 distance and the dot product are
+left-to-right sums of the rows' terms, so only labels within rounding
+of the boundary can differ from the in-process classifiers'.
 
 Stdlib only, so the file can be copied into any Python runtime.
 """
@@ -22,6 +26,7 @@ Stdlib only, so the file can be copied into any Python runtime.
 from __future__ import annotations
 
 import argparse
+import array
 import operator
 import sys
 from itertools import repeat
@@ -34,7 +39,7 @@ def _parse_vector(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok != ""]
 
 
-def _labeller(args: argparse.Namespace, d: int) -> Callable[[list[float]], str]:
+def _labeller(args: argparse.Namespace, d: int) -> Callable[[array.array], str]:
     """The reply line for each row of one batch of d-dimensional rows."""
     if args.mode == "constant":
         reply = f"{args.label}\n"
@@ -53,20 +58,26 @@ def _labeller(args: argparse.Namespace, d: int) -> Callable[[list[float]], str]:
     return lambda row: _REPLY[max(map(abs, map(sub, row, vector))) <= radius]
 
 
-def _replies(args: argparse.Namespace, header: str, readline: Callable[[], str]) -> str:
+def _replies(args: argparse.Namespace, header: bytes, read: Callable[[int], bytes]) -> str:
     """The reply lines to one request; ValueError if the request is malformed."""
     parts = header.split()
-    if len(parts) != 3 or parts[0] != "EVAL":
+    if len(parts) != 3 or parts[0] != b"EVAL64":
         raise ValueError(f"bad header: {header!r}")
     n, d = int(parts[1]), int(parts[2])
+    if n < 0 or d < 1:  # before reading: n, d = -1, -2 would wait for a 16-byte body
+        raise ValueError(f"bad header: {header!r} needs n >= 0 and d >= 1")
     label = _labeller(args, d)
-    out = []
-    for _ in range(n):
-        row = list(map(float, readline().split()))
-        if len(row) != d:
-            raise ValueError(f"a row has {len(row)} entries but the header says d={d}")
-        out.append(label(row))
-    return "".join(out)
+    size = 8 * n * d
+    try:
+        body = read(size)
+    except (OverflowError, MemoryError) as exc:
+        raise ValueError(f"bad header: {header!r} asks for a {size}-byte body") from exc
+    if len(body) != size:
+        raise ValueError(f"the body has {len(body)} bytes but the header says 8*n*d = {size}")
+    values = array.array("d", body)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return "".join([label(values[i : i + d]) for i in range(0, n * d, d)])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,13 +90,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--c", type=float, default=0.0)
     args = parser.parse_args(argv)
 
-    readline, stdout = sys.stdin.readline, sys.stdout
+    stdin, stdout = sys.stdin.buffer, sys.stdout
     while True:
-        header = readline()
-        if header == "":
+        header = stdin.readline()
+        if header == b"":
             return 0
         try:
-            replies = _replies(args, header, readline)
+            replies = _replies(args, header, stdin.read)
         except ValueError as exc:  # a malformed request: one line, then exit 1
             print(exc, file=sys.stderr)
             return 1

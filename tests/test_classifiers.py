@@ -1,4 +1,5 @@
 import math
+import struct
 import subprocess
 import sys
 
@@ -253,9 +254,9 @@ class TestExternalClassifier:
         script = tmp_path / "bad_worker.py"
         script.write_text(
             "import sys\n"
-            "header = sys.stdin.readline().split()\n"
-            "n = int(header[1])\n"
-            "for _ in range(n): sys.stdin.readline()\n"
+            "header = sys.stdin.buffer.readline().split()\n"
+            "n, d = int(header[1]), int(header[2])\n"
+            "for _ in range(n): sys.stdin.buffer.read(8 * d)\n"
             "sys.stdout.write('banana\\n' * n)\n"
             "sys.stdout.flush()\n"
         )
@@ -267,9 +268,9 @@ class TestExternalClassifier:
         script = tmp_path / "chatty_worker.py"
         script.write_text(
             "import sys\n"
-            "header = sys.stdin.readline().split()\n"
-            "n = int(header[1])\n"
-            "for _ in range(n): sys.stdin.readline()\n"
+            "header = sys.stdin.buffer.readline().split()\n"
+            "n, d = int(header[1]), int(header[2])\n"
+            "for _ in range(n): sys.stdin.buffer.read(8 * d)\n"
             "sys.stdout.write('1\\n' * (n + 1))\n"
             "sys.stdout.flush()\n"
         )
@@ -293,16 +294,18 @@ class TestExternalClassifier:
         # a worker that answers each row as it reads it stops reading once
         # its unread replies fill the pipe (about 32k two-byte lines), so
         # the adapter must read labels while it is still writing rows
+        # (1.6 MB of them, more than the request pipe holds)
         script = tmp_path / "row_worker.py"
         script.write_text(
-            "import sys\n"
+            "import struct, sys\n"
             "while True:\n"
-            "    header = sys.stdin.readline()\n"
+            "    header = sys.stdin.buffer.readline()\n"
             "    if not header:\n"
             "        break\n"
-            "    for _ in range(int(header.split()[1])):\n"
-            "        row = sys.stdin.readline().split()\n"
-            "        sys.stdout.write('1\\n' if float(row[0]) >= float(row[1]) else '0\\n')\n"
+            "    n, d = map(int, header.split()[1:])\n"
+            "    for _ in range(n):\n"
+            "        row = struct.unpack('<%dd' % d, sys.stdin.buffer.read(8 * d))\n"
+            "        sys.stdout.write('1\\n' if row[0] >= row[1] else '0\\n')\n"
             "        sys.stdout.flush()\n"
         )
         pts = np.random.default_rng(4).normal(size=(100_000, 2))
@@ -319,11 +322,11 @@ class TestExternalClassifier:
         script.write_text(
             "import sys, time\n"
             "while True:\n"
-            "    header = sys.stdin.readline()\n"
+            "    header = sys.stdin.buffer.readline()\n"
             "    if not header:\n"
             "        break\n"
-            "    n = int(header.split()[1])\n"
-            "    for _ in range(n): sys.stdin.readline()\n"
+            "    n, d = map(int, header.split()[1:])\n"
+            "    for _ in range(n): sys.stdin.buffer.read(8 * d)\n"
             "    time.sleep(0.4)\n"
             "    sys.stdout.write('1\\n' * n)\n"
             "    sys.stdout.flush()\n"
@@ -342,17 +345,15 @@ class TestExternalClassifier:
                             elements=_DOUBLES))
     def test_request_round_trips_every_double(self, block):
         n, d = block.shape
-        header, *lines = ExternalClassifier._request(block).split(b"\n")
-        assert header == b"EVAL %d %d" % (n, d)
-        assert lines.pop() == b"" and len(lines) == n
-        rows = [line.split(b" ") for line in lines]
-        assert all(len(row) == d for row in rows)
-        parsed = np.array([[float(token) for token in row] for row in rows]).reshape(n, d)
+        header, body = ExternalClassifier._request(block).split(b"\n", 1)
+        assert header + b"\n" == b"EVAL64 %d %d\n" % (n, d)
+        assert len(body) == 8 * n * d
+        parsed = np.frombuffer(body, "<f8").reshape(n, d)
         # bit patterns, so that -0.0 must come back as -0.0
         assert np.array_equal(parsed.view(np.uint64), block.view(np.uint64))
 
     def test_float_roundtrip_through_protocol(self):
-        # the request formatting must survive the wire exactly
+        # the request encoding must survive the wire exactly
         pts = np.array([[1e-17, -3.141592653589793], [2.2250738585072014e-308, 7.0]])
         threshold = 1e-17
         with ExternalClassifier(
@@ -422,19 +423,45 @@ class TestReferenceWorker:
     ])
     def test_vector_of_the_wrong_length_is_rejected(self, args):
         # the row 0 0 9 is 9 away from the origin: a truncated center would call it inside
-        done = subprocess.run(WORKER + args, input="EVAL 1 3\n0 0 9\n", capture_output=True,
-                              text=True, timeout=60)
-        assert done.returncode == 1 and done.stdout == ""
-        assert done.stderr.count("\n") == 1 and "d=3" in done.stderr
+        done = subprocess.run(WORKER + args, input=b"EVAL64 1 3\n" + struct.pack("<3d", 0, 0, 9),
+                              capture_output=True, timeout=60)
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr.count(b"\n") == 1 and b"d=3" in done.stderr
         with ExternalClassifier(WORKER + args, timeout_ms=10_000) as ext:
             with pytest.raises(TransportError):
                 evaluate(ext, np.array([[0.0, 0.0, 9.0]]))
 
     @pytest.mark.parametrize("request_text", [
-        "EVL 1 2\n", "EVAL a 2\n", "EVAL 1 2\n1\n", "EVAL 1 2\nx 0\n",
+        b"EVL 1 2\n", b"EVAL a 2\n", b"EVAL 1 2\n1\n",
+        pytest.param(b"EVAL 1 2\n" + bytes(16), id="text header, binary body"),
+        pytest.param(b"EVAL32 1 2\n" + bytes(16), id="unknown keyword"),
+        pytest.param(b"EVAL64 a 2\n" + bytes(16), id="n not a number"),
+        pytest.param(b"EVAL64 1.0 2\n" + bytes(16), id="n not an integer"),
+        pytest.param(b"EVAL64 -1 2\n" + bytes(16), id="n < 0"),
+        pytest.param(b"EVAL64 1 0\n" + bytes(16), id="d < 1"),
+        pytest.param(b"EVAL64 2 2\n" + bytes(24), id="body short of 8*n*d bytes"),
+        pytest.param(b"EVAL64 %d 1\n" % 2**61, id="8*n*d past the largest read"),
     ])
     def test_malformed_request_is_one_stderr_line(self, request_text):
         done = subprocess.run(WORKER + ["ball-linf"], input=request_text, capture_output=True,
-                              text=True, timeout=60)
-        assert done.returncode == 1 and done.stdout == ""
-        assert done.stderr.count("\n") == 1, done.stderr
+                              timeout=60)
+        assert done.returncode == 1 and done.stdout == b""
+        assert done.stderr.count(b"\n") == 1, done.stderr
+
+    @pytest.mark.parametrize("header", [b"EVAL 1 2\n", b"EVAL64 -1 -2\n", b"EVAL64 1 0\n"],
+                             ids=["text header", "n and d < 0", "d < 1"])
+    def test_bad_header_is_rejected_before_reading_a_body(self, header):
+        # the input stays open, so a worker that read first (8 n d = 16 bytes
+        # when n and d are both negative) would wait for a body that never comes
+        proc = subprocess.Popen(WORKER + ["ball-linf"], stdin=subprocess.PIPE,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            proc.stdin.write(header)
+            proc.stdin.flush()
+            assert proc.wait(timeout=60) == 1
+            assert proc.stdout.read() == b"" and proc.stderr.read().count(b"\n") == 1
+        finally:
+            proc.kill()
+            proc.wait()
+            for pipe in (proc.stdin, proc.stdout, proc.stderr):
+                pipe.close()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -451,7 +452,62 @@ _RAY_PAIRS = [
 _RAY_IDS = [f"{n}-{f.variant}-k{f.k:g}" for n, f in _RAY_PAIRS]
 
 
+def _uncached_log_ratio(stats, r):
+    """``log_ratio`` built out of place, with the shift-free norm rebuilt at each call."""
+    from smoothcert.discrepancy import _ray_norm
+
+    family = stats.family
+    if stats.ray == "LinfVertex":
+        if family.variant == "mixed_norm":
+            s = stats.columns[0]
+            out = (2.0 * (s * r) - family.dim * (r * r)) / (2.0 * family.sigma**2)
+        else:
+            shifted, base = _ray_norm(stats, r), _ray_norm(stats, 0.0)
+            out = (base - shifted) * (base + shifted) / (2.0 * family.sigma**2)
+        power = family.k
+    elif stats.ray == "L1Boundary":
+        t = stats.columns[0]
+        out = (np.abs(t - 0.0) - np.abs(t - r)) / family.b
+        power = family.k
+    else:
+        t = stats.columns[0]
+        out = (2.0 * (t * r) - r * r) / (2.0 * family.sigma**2)
+        power = 0.5 * family.k
+    if family.has_power_term:
+        with np.errstate(divide="ignore"):
+            out = out - power * (np.log(_ray_norm(stats, r)) - np.log(_ray_norm(stats, 0.0)))
+    return out
+
+
+def _bits(result):
+    return [float(getattr(result, f.name)).hex() for f in dataclasses.fields(result) if f.name != "trace"]
+
+
 class TestShiftStatistics:
+    @pytest.mark.parametrize("norm, fam", _RAY_PAIRS, ids=_RAY_IDS)
+    def test_cached_shift_free_norm_is_bit_identical(self, monkeypatch, norm, fam):
+        # log_ratio in place on the cached shift-free norm, and the bounds
+        # that exponentiate it in place, against the out-of-place expressions
+        from smoothcert import discrepancy
+
+        stats = noise_statistics(fam, 20_000, RandomStream(54))
+        for r in (0.0, 0.01, 0.3, 1.7, 0.01):  # a repeat: the cache must not change
+            step = worst_delta(ThreatModel(norm, r), fam).step
+            got, ref = discrepancy.log_ratio(stats, step), _uncached_log_ratio(stats, step)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert not stats.base_norm.flags.writeable and not stats.log_base_norm.flags.writeable
+        threat = ThreatModel(norm, 0.3)
+        delta = worst_delta(threat, fam).vector
+
+        def bounds():
+            duals = [dual_lower_bound(p0, threat, 1e-3, stats) for p0 in (0.6, 0.93, 0.999)]
+            mc = discrepancy_mc(fam, delta, 1.5, 5_000, 1e-3, RandomStream(55))
+            return [_bits(result) for result in duals + [mc]]
+
+        got = bounds()
+        monkeypatch.setattr(discrepancy, "log_ratio", _uncached_log_ratio)
+        assert got == bounds()
+
     @pytest.mark.parametrize("norm, fam", _RAY_PAIRS, ids=_RAY_IDS)
     def test_matches_full_row_log_ratio(self, norm, fam):
         from smoothcert import sample
