@@ -23,6 +23,7 @@ import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 from scipy import integrate
@@ -144,12 +145,13 @@ def _widen_pipe(fd: int) -> None:
 class ExternalClassifier:
     """Adapter speaking the EVAL protocol to a child process.
 
-    The child is spawned lazily on first use and kept alive across
-    batches; one adapter drives one subprocess. Timeouts, malformed
-    response lines, and child death all raise
+    ``start()`` spawns the child (``labels`` calls it too) and it is
+    kept alive across batches; one adapter drives one subprocess.
+    Timeouts, malformed response lines, and child death all raise
     :class:`~smoothcert.errors.TransportError` so certification aborts
     loudly instead of silently under-counting; the child is killed
-    first, and the next call starts a new one.
+    first, and only a call after that (or after ``close()``) starts a
+    new one: a child found exited is never silently replaced.
 
     The batches of one call are exchanged on the calling thread by
     polling both pipes (``selectors``), so the adapter needs a POSIX
@@ -177,9 +179,14 @@ class ExternalClassifier:
     def dim(self) -> int | None:
         return self._declared_dim
 
-    def _ensure_started(self) -> subprocess.Popen:
-        if self._proc is None or self._proc.poll() is not None:
-            self.close()
+    def start(self) -> subprocess.Popen:
+        """Spawn the child unless one is held; idempotent.
+
+        A held child that has exited is closed and reported as a
+        :class:`~smoothcert.errors.TransportError` naming its exit
+        status, not replaced.
+        """
+        if self._proc is None:
             try:
                 self._proc = subprocess.Popen(
                     self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
@@ -189,6 +196,10 @@ class ExternalClassifier:
             assert self._proc.stdin is not None
             os.set_blocking(self._proc.stdin.fileno(), False)
             _widen_pipe(self._proc.stdin.fileno())
+        elif self._proc.poll() is not None:
+            status = self._proc.returncode
+            self.close()
+            raise TransportError(f"classifier worker exited with status {status}")
         return self._proc
 
     def close(self) -> None:
@@ -261,13 +272,15 @@ class ExternalClassifier:
                         except BlockingIOError:
                             pass
                         except OSError as exc:
-                            raise TransportError(f"classifier worker closed its input: {exc}") from exc
+                            raise TransportError(
+                                f"classifier worker closed its input{self._exited(proc)}: {exc}"
+                            ) from exc
                     else:
                         chunk = os.read(stdout, 1 << 16)
                         if not chunk:
                             raise TransportError(
                                 "classifier worker closed its output mid-batch "
-                                f"(got {min(count, n)}/{n} labels)"
+                                f"(got {min(count, n)}/{n} labels){self._exited(proc)}"
                             )
                         received.append(chunk)
                         count += chunk.count(b"\n")
@@ -278,6 +291,14 @@ class ExternalClassifier:
         if lines.pop():
             raise TransportError(f"classifier worker sent more than {n} response lines")
         return lines
+
+    def _exited(self, proc: subprocess.Popen) -> str:
+        """", exited with status N" once a child that closed a pipe has
+        exited, waiting for it at most a second; "" if it is still running."""
+        try:
+            return f", exited with status {proc.wait(min(1.0, self.timeout_ms / 1000.0))}"
+        except subprocess.TimeoutExpired:
+            return ""
 
     @staticmethod
     def _parse_labels(lines: list[bytes]) -> np.ndarray:
@@ -293,7 +314,7 @@ class ExternalClassifier:
         return out
 
     def labels(self, points: np.ndarray) -> np.ndarray:
-        proc = self._ensure_started()
+        proc = self.start()
         try:
             return self._parse_labels(self._transfer(proc, points))
         except BaseException:
@@ -334,7 +355,8 @@ def success_counts(
     so it depends only on (family, n, rng). With ``workers > 1`` an
     in-process classifier counts the shards on a pool of that many
     threads; an ``ExternalClassifier`` drives its one subprocess from
-    the calling thread.
+    the calling thread, shard by shard, while one pool thread draws the
+    next shard (at most one ahead).
     """
     if n < 1:
         raise DomainError(f"success_counts requires n >= 1, got {n}")
@@ -347,19 +369,34 @@ def success_counts(
             f"dimension mismatch: classifier expects d={cdim}, family has d={family.dim}"
         )
 
-    def count(shards: slice) -> int:
-        successes = 0
+    def blocks(shards: slice) -> Iterator[np.ndarray]:
         for block in sample_chunks(family, n, rng, shards):
             block += x0  # each block is a fresh array: shift it in place
-            successes += int(classifier.labels(block).sum())
-        return successes
+            yield block
+
+    def count(shards: slice) -> int:
+        return sum(int(classifier.labels(block).sum()) for block in blocks(shards))
+
+    def draw(i: int) -> np.ndarray:
+        (block,) = blocks(slice(i, i + 1))
+        return block
 
     total = shard_count(family, n)
-    if workers > 1 and total > 1 and not isinstance(classifier, ExternalClassifier):
+    if workers <= 1 or total == 1:
+        successes = count(slice(None))
+    elif not isinstance(classifier, ExternalClassifier):
         with ThreadPoolExecutor(max_workers=min(workers, total)) as pool:
             successes = sum(pool.map(count, [slice(i, i + 1) for i in range(total)]))
     else:
-        successes = count(slice(None))
+        # the one subprocess labels shard i on this thread while the pool draws shard i + 1
+        successes = 0
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            ahead = pool.submit(draw, 0)
+            for i in range(total):
+                block = ahead.result()
+                if i + 1 < total:
+                    ahead = pool.submit(draw, i + 1)
+                successes += int(classifier.labels(block).sum())
     return BinomialEvidence(successes=successes, trials=n)
 
 

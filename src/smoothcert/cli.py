@@ -10,7 +10,8 @@ byte-identical result.json files. Each Monte Carlo stage draws from one random s
 in shards fixed in code, so ``workers`` changes no result: it only sizes
 the thread pools that run the inputs of ``certify``, the (variant, k)
 groups of ``pareto`` and, where no such pool runs (``radius``, and
-``certify`` of one input), the stage-1 shards.
+``certify`` of one input or with an external classifier), the stage-1
+shards.
 
 Exit codes: 0 success, 1 verification checks failed, 2 config error,
 3 classifier transport error; 4 is reserved (once a sampler abort).
@@ -346,11 +347,20 @@ _CERTIFICATE_HEADER = ["input_id", "p0_lower", "radius", "bound", "certified"]
 
 
 def _closing(classifier: Classifier, work: Callable):
-    """``work()``, then close the classifier's subprocess, if it has one."""
+    """``work()`` with the classifier's subprocess, if it has one, started
+    before it and closed after it, whether it returns or raises.
+
+    The worker is spawned before the job draws anything, so its
+    interpreter and model start up while the parent draws stage 2 and
+    the first stage-1 shard.
+    """
+    external = isinstance(classifier, ExternalClassifier)
     try:
+        if external:
+            classifier.start()
         return work()
     finally:
-        if isinstance(classifier, ExternalClassifier):
+        if external:
             classifier.close()
 
 
@@ -369,18 +379,20 @@ def _certify(top: dict) -> Job:
         # one stage-2 draw serves every input, on a stream no root.child(idx) reaches
         stats = noise_statistics(family, counts["n2"], root.child(MAX_INPUTS))
 
-        # one input counts its stage-1 shards on the pool; several run one
-        # input per pool thread, each counting serially, with no nested pools
-        shard_workers = workers if len(inputs) == 1 else 1
+        # several inputs of an in-process classifier run one input per pool
+        # thread, each counting serially, with no nested pools; otherwise the
+        # inputs run in turn and each counts its stage-1 shards on the pool.
+        # The external adapter is single-threaded per connection, so its
+        # inputs never share the input pool.
+        per_input = (workers > 1 and len(inputs) > 1
+                     and not isinstance(classifier, ExternalClassifier))
 
         def one(idx: int) -> Certificate:
             return certify(classifier, inputs[idx], threat, counts["n1"], budget,
                            root.child(idx), stats, input_id=f"input{idx}",
-                           workers=shard_workers)
+                           workers=1 if per_input else workers)
 
-        # the external adapter is single-threaded per connection, so it
-        # never enters the thread pool
-        if workers > 1 and len(inputs) > 1 and not isinstance(classifier, ExternalClassifier):
+        if per_input:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(one, range(len(inputs))))
         return [one(idx) for idx in range(len(inputs))]

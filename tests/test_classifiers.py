@@ -156,6 +156,48 @@ class TestSuccessCounts:
             got = success_counts(ext, x0, fam, n, rng, workers=2)
         assert got == ref
 
+    def test_external_shards_are_drawn_one_ahead_on_the_pool(self, monkeypatch):
+        # at workers > 1 a pool thread draws shard i + 1 while the calling
+        # thread labels shard i: every draw on the pool, every label on the
+        # caller in shard order, and no draw more than one shard ahead
+        import threading
+
+        from smoothcert import classifiers, families
+
+        monkeypatch.setattr(families, "_SHARD_ROWS", 1_500)
+        fam, n, rng = SmoothingFamily.l2_power_tail(4, 1.0, 1.0), 5_000, RandomStream(9)
+        x0 = np.array([0.4, 0.0, -0.2, 0.1])
+        expected = [x0 + block for block in families.sample_chunks(fam, n, rng)]
+        assert len(expected) == 4
+        ref = success_counts(BallIndicator("l2", np.zeros(4), 1.6), x0, fam, n, rng)
+        caller, lock = threading.get_ident(), threading.Lock()
+        draws, labelled, labelled_before_draw = [], [], []
+        real_draw, real_labels = classifiers.sample_chunks, ExternalClassifier.labels
+
+        def recording_draw(family, n, rng, shards=slice(None)):
+            with lock:
+                draws.append((shards.start, threading.get_ident()))
+                labelled_before_draw.append(len(labelled))
+            return real_draw(family, n, rng, shards)
+
+        def recording_labels(self, points):
+            assert threading.get_ident() == caller
+            out = real_labels(self, points)
+            with lock:
+                labelled.append(points.copy())
+            return out
+
+        monkeypatch.setattr(classifiers, "sample_chunks", recording_draw)
+        monkeypatch.setattr(ExternalClassifier, "labels", recording_labels)
+        with ExternalClassifier(WORKER + ["ball-l2", "--radius", "1.6"], batch_size=512) as ext:
+            got = success_counts(ext, x0, fam, n, rng, workers=2)
+        assert got == ref
+        assert [i for i, _ in draws] == [0, 1, 2, 3]
+        assert all(thread != caller for _, thread in draws)
+        assert all(np.array_equal(a, b) for a, b in zip(labelled, expected, strict=True))
+        # shard i is drawn only once shards 0 .. i - 2 are labelled
+        assert all(done >= i - 1 for i, done in enumerate(labelled_before_draw))
+
 
 class TestExactSmoothedValue:
     def test_full_mass(self):
@@ -289,6 +331,41 @@ class TestExternalClassifier:
         with ExternalClassifier([sys.executable, "-c", "raise SystemExit(1)"]) as ext:
             with pytest.raises(TransportError):
                 evaluate(ext, np.zeros((2, 2)))
+
+    def test_start_is_idempotent(self):
+        with ExternalClassifier(WORKER + ["constant"]) as ext:
+            proc = ext.start()
+            assert ext.start() is proc and proc.poll() is None
+            assert evaluate(ext, np.zeros((3, 2))).tolist() == [1, 1, 1]
+            assert ext.start() is proc
+        assert proc.returncode is not None
+
+    def test_exited_worker_is_reported_not_respawned(self, tmp_path, capfd):
+        # a worker that answers one request and exits: the next call raises
+        # with its exit status instead of spawning a second worker
+        script = tmp_path / "one_shot_worker.py"
+        script.write_text(
+            "import sys\n"
+            "sys.stderr.write('one-shot worker up\\n')\n"
+            "header = sys.stdin.buffer.readline().split()\n"
+            "n, d = int(header[1]), int(header[2])\n"
+            "sys.stdin.buffer.read(8 * n * d)\n"
+            "sys.stdout.write('1\\n' * n)\n"
+            "sys.stdout.flush()\n"
+        )
+        with ExternalClassifier([sys.executable, str(script)]) as ext:
+            proc = ext.start()
+            assert evaluate(ext, np.zeros((2, 3))).tolist() == [1, 1]
+            proc.wait()
+            with pytest.raises(TransportError, match="exited with status 0"):
+                evaluate(ext, np.zeros((2, 3)))
+        assert capfd.readouterr().err.count("one-shot worker up") == 1
+
+    def test_worker_found_exited_at_start_names_its_status(self):
+        with ExternalClassifier([sys.executable, "-c", "raise SystemExit(3)"]) as ext:
+            ext.start().wait()
+            with pytest.raises(TransportError, match="exited with status 3"):
+                ext.start()
 
     def test_row_by_row_worker_with_large_batch(self, tmp_path):
         # a worker that answers each row as it reads it stops reading once

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from smoothcert import DomainError
 from smoothcert.cli import main
 
 
@@ -375,9 +376,13 @@ class TestConfigFuzz:
             assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
+EVAL_WORKER = [sys.executable, "-m", "smoothcert.eval_worker"]
+
+
 class TestWorkerInvariance:
-    @pytest.mark.parametrize("command", ["certify", "radius", "pareto", "pareto-external"])
-    def test_result_does_not_depend_on_workers(self, tmp_path, command):
+    @pytest.mark.parametrize("command", ["certify", "radius", "pareto", "certify-external",
+                                         "radius-external", "pareto-external"])
+    def test_result_does_not_depend_on_workers(self, tmp_path, monkeypatch, command):
         fam = {"variant": "l2_power_tail", "dim": 6, "k": 2.0, "sigma": 1.0}
         cfg = {
             "seed": 19,
@@ -387,9 +392,16 @@ class TestWorkerInvariance:
             "classifier": {"kind": "ball", "norm": "l2", "center": [0.0] * 6, "radius": 6.0},
             "inputs": {"vectors": [[0.0] * 6, [0.3] + [0.0] * 5, [0.0, 0.5] + [0.0] * 4]},
         }
-        if command == "certify":
+        if command in ("certify-external", "radius-external"):
+            # three stage-1 shards per input, the next drawn while the worker labels
+            from smoothcert import families
+
+            monkeypatch.setattr(families, "_SHARD_ROWS", 700)
+            cfg["classifier"] = {"kind": "external", "batch_size": 256,
+                                 "command": EVAL_WORKER + ["ball-l2", "--radius", "6.0"]}
+        if command.startswith("certify"):
             cfg["threat"] = {"norm": "l2", "radius": 0.4}
-        elif command == "radius":
+        elif command.startswith("radius"):
             cfg["search"] = {"norm": "l2", "r_max": 3.0}
         else:
             cfg = {"seed": 19, "pareto": {
@@ -402,8 +414,8 @@ class TestWorkerInvariance:
             }}
             if command == "pareto-external":
                 # one EVAL worker must not be driven from two pool threads at once
-                cfg["pareto"]["truth"] = {"kind": "external", "batch_size": 64, "command": [
-                    sys.executable, "-m", "smoothcert.eval_worker", "ball-l2", "--radius", "0.65"]}
+                cfg["pareto"]["truth"] = {"kind": "external", "batch_size": 64,
+                                          "command": EVAL_WORKER + ["ball-l2", "--radius", "0.65"]}
         bodies = []
         for workers in (1, 2, 4):
             out = tmp_path / f"w{workers}"
@@ -585,6 +597,110 @@ class TestCertifyCommand:
         assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["certificates"][0]["p0_lower"] > 0.95
+
+
+def _external_job(command, tmp_path, worker):
+    """A small config of ``command`` whose classifier (or pareto truth) is ``worker``."""
+    classifier = {"kind": "external", "timeout_ms": 10_000, "command": worker}
+    if command == "pareto":
+        return {"seed": 4, "workers": 2, "out": str(tmp_path / "run"), "pareto": {
+            "dim": 3, "n": 500, "truth": classifier,
+            "grids": [{"variant": "mixed_norm", "k_values": [0.0], "scale_values": [0.3]}]}}
+    cfg = certify_config(tmp_path / "run", workers=2, counts={"n1": 500, "n2": 2000},
+                         classifier=classifier)
+    if command == "radius":
+        del cfg["threat"]
+        cfg["search"] = {"norm": "l2", "r_max": 2.0, "iterations": 3}
+    return cfg
+
+
+class TestExternalWorkerLifetime:
+    """The job spawns its EVAL worker once, before it draws anything, and
+    reaps it when it returns or raises."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        from smoothcert import cli
+
+        log, procs = [], []
+        real_popen, real_close = subprocess.Popen, cli.ExternalClassifier.close
+
+        def spawning(*args, **kwargs):
+            log.append("spawn")
+            procs.append(real_popen(*args, **kwargs))
+            return procs[-1]
+
+        def closing(self):
+            log.append("close")
+            real_close(self)
+
+        def drawing(name, real):
+            def draw(*args, **kwargs):
+                log.append("draw")
+                return real(*args, **kwargs)
+            monkeypatch.setattr(cli, name, draw)
+
+        monkeypatch.setattr(subprocess, "Popen", spawning)
+        monkeypatch.setattr(cli.ExternalClassifier, "close", closing)
+        drawing("noise_statistics", cli.noise_statistics)
+        drawing("pareto_sweep", cli.pareto_sweep)  # pareto's draws are inside the sweep
+        return log, procs
+
+    @pytest.mark.parametrize("command", ["certify", "radius", "pareto"])
+    def test_worker_starts_before_the_first_draw(self, tmp_path, events, command):
+        log, procs = events
+        cfg = _external_job(command, tmp_path, EVAL_WORKER + ["constant", "--label", "1"])
+        assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 0
+        assert log == ["spawn", "draw", "close"]
+        assert procs[0].returncode is not None
+
+    @pytest.mark.parametrize("command", ["certify", "radius"])
+    def test_worker_is_reaped_when_the_job_raises(self, tmp_path, events, monkeypatch, capsys,
+                                                  command):
+        from smoothcert import cli
+
+        log, procs = events
+
+        def failing(*args, **kwargs):
+            log.append("draw")
+            raise DomainError("stage 2 failed")
+
+        monkeypatch.setattr(cli, "noise_statistics", failing)
+        cfg = _external_job(command, tmp_path, EVAL_WORKER + ["constant"])
+        assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert "stage 2 failed" in capsys.readouterr().err
+        assert log == ["spawn", "draw", "close"]
+        assert procs[0].returncode is not None
+
+    @pytest.mark.parametrize("command", ["certify", "radius", "pareto"])
+    def test_unspawnable_worker_exits_3_before_any_draw(self, tmp_path, events, capsys,
+                                                        command):
+        log, procs = events
+        cfg = _external_job(command, tmp_path, [str(tmp_path / "no-such-worker")])
+        assert run_cli([command, "--config", write_config(tmp_path, cfg)]) == 3
+        assert "failed to spawn" in capsys.readouterr().err
+        assert "draw" not in log and not procs
+
+    @pytest.mark.parametrize("exited_before_stage_one", [False, True])
+    def test_worker_that_exits_at_start_up_is_spawned_once(self, tmp_path, events, monkeypatch,
+                                                           capfd, exited_before_stage_one):
+        from smoothcert import cli
+
+        log, procs = events
+        if exited_before_stage_one:
+            real = cli.noise_statistics
+
+            def after_exit(*args, **kwargs):
+                procs[0].wait()
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, "noise_statistics", after_exit)
+        cfg = _external_job("certify", tmp_path, [
+            sys.executable, "-c", "import sys; sys.stderr.write('boom\\n'); sys.exit(5)"])
+        assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 3
+        err = capfd.readouterr().err
+        assert err.count("boom") == 1 and log.count("spawn") == 1
+        assert "transport error" in err and "status 5" in err
 
 
 class TestSampleCommand:
