@@ -11,14 +11,17 @@ beta quantile are ``scipy.special``'s ``ndtr``, ``ndtri`` and
 Confidence accounting: the total budget splits into the p0 test and
 the Monte Carlo discrepancy stage (alpha_p0 + alpha_mc <= alpha_total),
 and the overall guarantee holds by the union bound, which needs no
-independence. So one stage-2 draw, whose DKW band covers every lambda,
-serves many inputs; their certificates are then dependent.
+independence. So one draw of each stage serves many inputs: the n1
+stage-1 rows are i.i.d. draws of the noise whatever the input, so each
+input's count is still Binomial(n1, p0(x)), and the stage-2 DKW band
+covers every lambda. Their certificates are then dependent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betaincinv, ndtr, ndtri
@@ -237,44 +240,55 @@ def gaussian_bilateral_radius(pa: Probability, pb: Probability, sigma: float) ->
 # pipelines
 
 
-def _p0_lower(classifier: Classifier, x0: np.ndarray, family: SmoothingFamily, n1: int,
-              budget: ConfidenceBudget, rng: RandomStream, workers: int) -> float:
-    """Stage 1 of both pipelines: the level-alpha_p0 lower bound on p0 from
-    the classifier's successes on n1 draws from ``rng.child(0)``, whose
-    shards ``workers`` threads count."""
-    evidence = success_counts(classifier, x0, family, n1, rng.child(0), workers)
-    return clopper_pearson_lower(evidence, budget.alpha_p0)
+def _p0_lowers(classifier: Classifier, inputs: Sequence[np.ndarray], family: SmoothingFamily,
+               n1: int, budget: ConfidenceBudget, rng: RandomStream, workers: int) -> list[float]:
+    """Stage 1 of both pipelines: each input's level-alpha_p0 lower bound on
+    p0 from the classifier's successes on the same n1 draws from
+    ``rng.child(0)``, whose shards ``workers`` threads count."""
+    evidence = success_counts(classifier, inputs, family, n1, rng.child(0), workers)
+    return [clopper_pearson_lower(e, budget.alpha_p0) for e in evidence]
 
 
 def certify(
     classifier: Classifier,
-    x0: np.ndarray,
+    inputs: Sequence[np.ndarray],
     threat: ThreatModel,
     n1: int,
     budget: ConfidenceBudget,
     rng: RandomStream,
     stats: ShiftStatistics,
-    input_id: str = "x0",
+    input_ids: Sequence[str] | None = None,
     workers: int = 1,
-) -> Certificate:
-    """Certification of one input.
+) -> list[Certificate]:
+    """Certification of each of ``inputs``, one certificate per input.
 
-    Stage 1 draws n1 samples from ``rng.child(0)``, counts classifier
-    successes, and lower-bounds p0 at level alpha_p0. Stage 2 maximizes
-    the dual bound over lambda on ``stats`` (the ``noise_statistics`` of
-    the smoothing family, read at ``threat``'s worst shift) at level
-    alpha_mc. Certified iff the bound exceeds 1/2; if p0_lower cannot
-    clear 1/2 the pipeline abstains. A threat with no worst-shift
-    theorem for the family raises before anything is drawn. ``workers``
-    sizes the thread pool that counts the stage-1 shards
+    Stage 1 draws n1 samples from ``rng.child(0)`` once, counts each
+    input's classifier successes on them, and lower-bounds each p0 at
+    level alpha_p0. Stage 2 maximizes the dual bound over lambda on
+    ``stats`` (the ``noise_statistics`` of the smoothing family, read at
+    ``threat``'s worst shift) at level alpha_mc, for each input whose
+    p0_lower clears 1/2; the others abstain. Certified iff the bound
+    exceeds 1/2. Each certificate keeps its level, since the union
+    bound needs no independence, but the certificates of one call share
+    both draws and so depend on each other. A threat with no worst-shift
+    theorem for the family raises before anything is drawn.
+    ``input_ids`` name the certificates (default x0, x1, ...).
+    ``workers`` sizes the thread pool that counts the stage-1 shards
     (``success_counts``); it changes no result.
     """
     worst_delta(threat, stats.family)
-    p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng, workers)
-    dual = None
-    if p0_lower > 0.5:
-        dual = dual_lower_bound(p0_lower, threat, budget.alpha_mc, stats)
-    return Certificate(input_id, p0_lower, threat, stats.family, budget, n1, stats.n, dual)
+    if input_ids is None:
+        input_ids = [f"x{i}" for i in range(len(inputs))]
+    if len(input_ids) != len(inputs):
+        raise DomainError(f"{len(input_ids)} input_ids for {len(inputs)} inputs")
+    p0_lowers = _p0_lowers(classifier, inputs, stats.family, n1, budget, rng, workers)
+    certs = []
+    for input_id, p0_lower in zip(input_ids, p0_lowers):
+        dual = None
+        if p0_lower > 0.5:
+            dual = dual_lower_bound(p0_lower, threat, budget.alpha_mc, stats)
+        certs.append(Certificate(input_id, p0_lower, threat, stats.family, budget, n1, stats.n, dual))
+    return certs
 
 
 def _check_search(r_max: float, iterations: int = 12, r_step: float | None = None) -> None:
@@ -315,7 +329,7 @@ def certified_radius_search(
     """
     _check_search(r_max, iterations, r_step)
     worst_delta(ThreatModel(threat_norm, r_max), stats.family)
-    p0_lower = _p0_lower(classifier, x0, stats.family, n1, budget, rng, workers)
+    (p0_lower,) = _p0_lowers(classifier, [x0], stats.family, n1, budget, rng, workers)
     if p0_lower <= 0.5:
         return 0.0, None
 

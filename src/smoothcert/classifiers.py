@@ -23,7 +23,7 @@ import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Sequence
 
 import numpy as np
 from scipy import integrate
@@ -341,63 +341,67 @@ def evaluate(classifier: Classifier, points: np.ndarray) -> np.ndarray:
 
 def success_counts(
     classifier: Classifier,
-    x0: np.ndarray,
+    inputs: Sequence[np.ndarray],
     family: SmoothingFamily,
     n: int,
     rng: RandomStream,
     workers: int = 1,
-) -> BinomialEvidence:
-    """Count f(x0 + z) = 1 over n smoothing draws.
+) -> list[BinomialEvidence]:
+    """Count f(x + z) = 1 over the same n smoothing draws for every input x.
 
     Dimensions are validated before any sampling, so a mismatch
     consumes zero samples. The draws are the fixed shards of
-    ``sample_chunks`` and the count sums their counts in shard order,
-    so it depends only on (family, n, rng). With ``workers > 1`` an
-    in-process classifier counts the shards on a pool of that many
-    threads; an ``ExternalClassifier`` drives its one subprocess from
-    the calling thread, shard by shard, while one pool thread draws the
-    next shard (at most one ahead).
+    ``sample_chunks``, drawn once: each input labels every shard
+    shifted by itself (the last input shifts the block in place, so
+    one input costs no copy), and its count sums the shards' counts in
+    shard order, so it depends only on (family, n, rng) and equals the
+    count of a one-input call. With ``workers > 1`` an in-process
+    classifier counts the shards on a pool of that many threads; an
+    ``ExternalClassifier`` drives its one subprocess from the calling
+    thread, shard by shard and input by input, while one pool thread
+    draws the next shard (at most one ahead).
     """
     if n < 1:
         raise DomainError(f"success_counts requires n >= 1, got {n}")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (family.dim,):
-        raise DomainError(f"x0 must have length {family.dim}, got shape {x0.shape}")
+    inputs = [np.asarray(x0, dtype=float) for x0 in inputs]
+    if not inputs:
+        raise DomainError("success_counts requires at least one input")
+    for x0 in inputs:
+        if x0.shape != (family.dim,):
+            raise DomainError(f"x0 must have length {family.dim}, got shape {x0.shape}")
     cdim = classifier.dim
     if cdim is not None and cdim != family.dim:
         raise DomainError(
             f"dimension mismatch: classifier expects d={cdim}, family has d={family.dim}"
         )
+    *others, last = inputs
 
-    def blocks(shards: slice) -> Iterator[np.ndarray]:
-        for block in sample_chunks(family, n, rng, shards):
-            block += x0  # each block is a fresh array: shift it in place
-            yield block
-
-    def count(shards: slice) -> int:
-        return sum(int(classifier.labels(block).sum()) for block in blocks(shards))
+    def count(block: np.ndarray) -> list[int]:
+        hits = [int(classifier.labels(block + x0).sum()) for x0 in others]
+        block += last  # each block is a fresh array: the last input shifts it in place
+        return hits + [int(classifier.labels(block).sum())]
 
     def draw(i: int) -> np.ndarray:
-        (block,) = blocks(slice(i, i + 1))
+        (block,) = sample_chunks(family, n, rng, slice(i, i + 1))
         return block
 
     total = shard_count(family, n)
     if workers <= 1 or total == 1:
-        successes = count(slice(None))
+        per_shard = [count(block) for block in sample_chunks(family, n, rng)]
     elif not isinstance(classifier, ExternalClassifier):
         with ThreadPoolExecutor(max_workers=min(workers, total)) as pool:
-            successes = sum(pool.map(count, [slice(i, i + 1) for i in range(total)]))
+            per_shard = list(pool.map(lambda i: count(draw(i)), range(total)))
     else:
         # the one subprocess labels shard i on this thread while the pool draws shard i + 1
-        successes = 0
+        per_shard = []
         with ThreadPoolExecutor(max_workers=1) as pool:
             ahead = pool.submit(draw, 0)
             for i in range(total):
                 block = ahead.result()
                 if i + 1 < total:
                     ahead = pool.submit(draw, i + 1)
-                successes += int(classifier.labels(block).sum())
-    return BinomialEvidence(successes=successes, trials=n)
+                per_shard.append(count(block))
+    return [BinomialEvidence(successes=sum(hits), trials=n) for hits in zip(*per_shard)]
 
 
 # ---------------------------------------------------------------------------

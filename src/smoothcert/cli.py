@@ -8,10 +8,9 @@ Every output file embeds the resolved configuration and the engine
 version, and reruns with an identical (config, seed) pair produce
 byte-identical result.json files. Each Monte Carlo stage draws from one random stream,
 in shards fixed in code, so ``workers`` changes no result: it only sizes
-the thread pools that run the inputs of ``certify``, the (variant, k)
-groups of ``pareto`` and, where no such pool runs (``radius``, and
-``certify`` of one input or with an external classifier), the stage-1
-shards.
+the thread pools that count the stage-1 shards of ``certify`` (every
+input on the same shards) and ``radius``, and that run the (variant, k)
+groups of ``pareto``.
 
 Exit codes: 0 success, 1 verification checks failed, 2 config error,
 3 classifier transport error; 4 is reserved (once a sampler abort).
@@ -26,7 +25,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
@@ -373,29 +371,14 @@ def _certify(top: dict) -> Job:
     classifier = parse_classifier(top.get("classifier"), family.dim)
     inputs = _load_inputs(top.get("inputs"), family.dim)
     root = RandomStream(top["seed"])
-    workers = top["workers"]
 
     def all_inputs() -> list[Certificate]:
-        # one stage-2 draw serves every input, on a stream no root.child(idx) reaches
+        # one draw of each stage serves every input: stage 2 on
+        # root.child(MAX_INPUTS), stage 1 on root.child(0)
         stats = noise_statistics(family, counts["n2"], root.child(MAX_INPUTS))
-
-        # several inputs of an in-process classifier run one input per pool
-        # thread, each counting serially, with no nested pools; otherwise the
-        # inputs run in turn and each counts its stage-1 shards on the pool.
-        # The external adapter is single-threaded per connection, so its
-        # inputs never share the input pool.
-        per_input = (workers > 1 and len(inputs) > 1
-                     and not isinstance(classifier, ExternalClassifier))
-
-        def one(idx: int) -> Certificate:
-            return certify(classifier, inputs[idx], threat, counts["n1"], budget,
-                           root.child(idx), stats, input_id=f"input{idx}",
-                           workers=1 if per_input else workers)
-
-        if per_input:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(one, range(len(inputs))))
-        return [one(idx) for idx in range(len(inputs))]
+        return certify(classifier, inputs, threat, counts["n1"], budget, root.child(0), stats,
+                       input_ids=[f"input{idx}" for idx in range(len(inputs))],
+                       workers=top["workers"])
 
     def job(out: Path, config: dict) -> Report:
         certs = _closing(classifier, all_inputs)
@@ -507,7 +490,7 @@ def _pareto(top: dict) -> Job:
         _build("pareto.threat", worst_delta, threat, family)
 
     def job(out: Path, config: dict) -> Report:
-        # one EVAL adapter serves one thread at a time, as in certify
+        # one EVAL adapter serves one thread at a time, as in stage 1
         workers = 1 if isinstance(truth, ExternalClassifier) else top["workers"]
         points = _closing(truth, lambda: pareto_sweep(
             truth, x0, threat, grids, dim, n, RandomStream(top["seed"]), workers=workers))

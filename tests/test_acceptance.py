@@ -340,8 +340,8 @@ def test_criterion_9_end_to_end_soundness():
         big_r = 2.5 * sigma * math.sqrt(d)
         truth = BallIndicator("l2", np.zeros(d), big_r)
         threat, rng = ThreatModel(norm, r), RandomStream(90).child(idx)
-        cert = certify(
-            truth, np.zeros(d), threat, n1=3000, budget=budget, rng=rng,
+        (cert,) = certify(
+            truth, [np.zeros(d)], threat, n1=3000, budget=budget, rng=rng,
             stats=noise_statistics(fam, 20_000, rng.child(1)),
         )
         if cert.certified:

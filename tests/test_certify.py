@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smoothcert import (
+    BallIndicator,
     BinomialEvidence,
     ConfidenceBudget,
     Constant,
@@ -21,12 +22,14 @@ from smoothcert import (
     cohen_bound,
     cohen_radius,
     dual_lower_bound,
+    exact_smoothed_value,
     gaussian_bilateral_radius,
     noise_statistics,
+    success_counts,
     teng_bound,
     teng_radius,
 )
-from smoothcert.certify import ABSTAIN, CERTIFIED
+from smoothcert.certify import ABSTAIN, CERTIFIED, NOT_CERTIFIED
 from _oracles import clopper_pearson_by_binomial_bisection
 
 # frozen from the binomial-tail bisection oracle
@@ -200,8 +203,8 @@ class TestConfidenceBudget:
 class TestCertifyPipeline:
     def test_constant_one_certifies(self):
         fam, threat, rng = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.5), RandomStream(1)
-        cert = certify(
-            Constant(1), np.zeros(4), threat, n1=1000, budget=ConfidenceBudget.split(0.002),
+        (cert,) = certify(
+            Constant(1), [np.zeros(4)], threat, n1=1000, budget=ConfidenceBudget.split(0.002),
             rng=rng, stats=noise_statistics(fam, 50_000, rng.child(1)),
         )
         assert abs(cert.p0_lower - 0.001 ** (1.0 / 1000.0)) <= 1e-12
@@ -210,8 +213,8 @@ class TestCertifyPipeline:
 
     def test_constant_zero_abstains(self):
         fam, threat, rng = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.5), RandomStream(2)
-        cert = certify(
-            Constant(0), np.zeros(4), threat, n1=500, budget=ConfidenceBudget.split(0.002),
+        (cert,) = certify(
+            Constant(0), [np.zeros(4)], threat, n1=500, budget=ConfidenceBudget.split(0.002),
             rng=rng, stats=noise_statistics(fam, 1000, rng.child(1)),
         )
         assert cert.status == ABSTAIN and not cert.certified
@@ -223,8 +226,8 @@ class TestCertifyPipeline:
         # halfspace through x0 gives p0 = 1/2 exactly
         fam, threat, rng = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.25), RandomStream(3)
         clf = Halfspace(np.array([1.0, 0.0, 0.0]), 0.0)
-        cert = certify(
-            clf, np.zeros(3), threat, n1=2000, budget=ConfidenceBudget.split(0.01),
+        (cert,) = certify(
+            clf, [np.zeros(3)], threat, n1=2000, budget=ConfidenceBudget.split(0.01),
             rng=rng, stats=noise_statistics(fam, 5000, rng.child(1)),
         )
         assert not cert.certified
@@ -232,8 +235,8 @@ class TestCertifyPipeline:
     def test_gaussian_consistency_with_cohen(self):
         # the dual engine reproduces the closed form applied to p0_lower
         fam, threat, rng = SmoothingFamily.gaussian(5, 1.0), ThreatModel("l2", 0.5), RandomStream(4)
-        cert = certify(
-            Constant(1), np.zeros(5), threat, n1=100_000, budget=ConfidenceBudget.split(0.002),
+        (cert,) = certify(
+            Constant(1), [np.zeros(5)], threat, n1=100_000, budget=ConfidenceBudget.split(0.002),
             rng=rng, stats=noise_statistics(fam, 400_000, rng.child(1)),
         )
         target = cohen_bound(cert.p0_lower, 1.0, 0.5)
@@ -242,8 +245,8 @@ class TestCertifyPipeline:
 
     def test_serialization_roundtrip(self):
         fam, threat, rng = SmoothingFamily.gaussian(3, 1.0), ThreatModel("l2", 0.2), RandomStream(5)
-        cert = certify(
-            Constant(1), np.zeros(3), threat, n1=200, budget=ConfidenceBudget.split(0.01),
+        (cert,) = certify(
+            Constant(1), [np.zeros(3)], threat, n1=200, budget=ConfidenceBudget.split(0.01),
             rng=rng, stats=noise_statistics(fam, 2000, rng.child(1)),
         )
         payload = cert.to_dict()
@@ -260,9 +263,59 @@ class TestCertifyPipeline:
         clf = Halfspace(np.array([1.0, 0.0]), 0.0)  # d=2 classifier
         with pytest.raises(DomainError):
             certify(
-                clf, np.zeros(3), threat, n1=100, budget=ConfidenceBudget.split(0.01),
+                clf, [np.zeros(3)], threat, n1=100, budget=ConfidenceBudget.split(0.01),
                 rng=rng, stats=noise_statistics(fam, 100, rng.child(1)),
             )
+
+    def test_inputs_certify_as_one_input_calls(self):
+        # one stage-1 draw serves every input: each certificate is the one a
+        # one-input call on the same streams gives, and only inputs whose
+        # p0_lower clears 1/2 get a dual bound
+        fam, threat, rng = SmoothingFamily.gaussian(4, 1.0), ThreatModel("l2", 0.5), RandomStream(8)
+        ball, budget = BallIndicator("l2", np.zeros(4), 3.0), ConfidenceBudget.split(0.002)
+        stats = noise_statistics(fam, 5000, rng.child(1))
+        inputs = [np.zeros(4), np.array([0.0, 2.0, 0.0, 0.0]), np.array([0.0, 0.0, 4.0, 0.0])]
+        certs = certify(ball, inputs, threat, 2000, budget, rng, stats, input_ids=["a", "b", "c"])
+        assert [c.input_id for c in certs] == ["a", "b", "c"]
+        assert [c.status for c in certs] == [CERTIFIED, NOT_CERTIFIED, ABSTAIN]
+        for x0, cert in zip(inputs, certs):
+            (alone,) = certify(ball, [x0], threat, 2000, budget, rng, stats)
+            assert alone.input_id == "x0"
+            assert (alone.p0_lower, alone.bound, alone.lambda_star) == (
+                cert.p0_lower, cert.bound, cert.lambda_star)
+
+    def test_input_ids_of_another_length_raise_before_stage_one(self, monkeypatch):
+        import sys
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("stage 1 drew")
+
+        monkeypatch.setattr(sys.modules["smoothcert.certify"], "success_counts", no_draws)
+        fam, rng = SmoothingFamily.gaussian(3, 1.0), RandomStream(9)
+        with pytest.raises(DomainError, match="1 input_ids for 2 inputs"):
+            certify(Constant(1), [np.zeros(3)] * 2, ThreatModel("l2", 0.2), 100,
+                    ConfidenceBudget.split(0.01), rng, noise_statistics(fam, 100, rng.child(1)),
+                    input_ids=["only"])
+
+    def test_shared_stage_one_keeps_each_inputs_level(self):
+        # the n1 rows do not depend on the input, so each input's count is
+        # Binomial(n1, p0(x)) and its Clopper-Pearson bound misses p0(x) with
+        # probability at most alpha_p0, although the inputs share the rows
+        from scipy.stats import binom
+
+        fam, ball = SmoothingFamily.gaussian(4, 1.0), BallIndicator("l2", np.zeros(4), 2.5)
+        inputs = [np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 2.0, 0.0])]
+        exact = [exact_smoothed_value(ball, x0, fam, np.zeros(4)) for x0 in inputs]
+        seeds, n1, alpha_p0 = 300, 2000, 0.1
+        counts = np.array([[e.successes for e in success_counts(ball, inputs, fam, n1, RandomStream(s))]
+                           for s in range(seeds)])
+        for i, p in enumerate(exact):
+            se = math.sqrt(p * (1.0 - p) / (n1 * seeds))
+            assert abs(counts[:, i].mean() / n1 - p) <= 4.0 * se, (i, counts[:, i].mean() / n1, p)
+            misses = sum(clopper_pearson_lower(BinomialEvidence(int(c), n1), alpha_p0) > p
+                         for c in counts[:, i])
+            print(f"input {i}: p0 {p:.4f}, Clopper-Pearson misses {misses}/{seeds} at alpha {alpha_p0}")
+            assert binom.sf(misses - 1, seeds, alpha_p0) > 1e-6
 
 
 class TestRadiusSearch:
@@ -385,6 +438,6 @@ def test_unsupported_threat_raises_before_stage_one(monkeypatch, label):
     rng, budget = RandomStream(15), ConfidenceBudget.split(0.01)
     stats = noise_statistics(SmoothingFamily.laplacian(3, 1.0), 500, rng.child(1))
     with pytest.raises(UnsupportedError):
-        certify(Constant(label), np.zeros(3), ThreatModel("l2", 0.5), 500, budget, rng, stats)
+        certify(Constant(label), [np.zeros(3)], ThreatModel("l2", 0.5), 500, budget, rng, stats)
     with pytest.raises(UnsupportedError):
         certified_radius_search(Constant(label), np.zeros(3), "l2", 2.0, 500, budget, rng, stats)

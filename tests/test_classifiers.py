@@ -80,7 +80,7 @@ class TestSyntheticClassifiers:
 class TestSuccessCounts:
     def test_constant_counts(self):
         fam = SmoothingFamily.gaussian(3, 1.0)
-        ev = success_counts(Constant(1), np.zeros(3), fam, 500, RandomStream(1))
+        (ev,) = success_counts(Constant(1), [np.zeros(3)], fam, 500, RandomStream(1))
         assert ev.successes == 500 and ev.trials == 500
 
     def test_ball_fraction_matches_radial_quadrature(self):
@@ -89,7 +89,7 @@ class TestSuccessCounts:
         big_r = sigma * math.sqrt(d)  # non-degenerate success probability
         clf = BallIndicator("l2", np.zeros(d), big_r)
         n = 100_000
-        ev = success_counts(clf, np.zeros(d), fam, n, RandomStream(2))
+        (ev,) = success_counts(clf, [np.zeros(d)], fam, n, RandomStream(2))
         p = exact_smoothed_value(clf, np.zeros(d), fam, np.zeros(d))
         assert abs(p - stats.chi2.cdf(d, df=d)) <= 1e-9  # oracle vs oracle
         assert abs(ev.successes / n - p) <= 3.0 * math.sqrt(p * (1 - p) / n)
@@ -98,22 +98,33 @@ class TestSuccessCounts:
         d = 5
         fam = SmoothingFamily.gaussian(d, 1.0)
         clf = BallIndicator("l2", np.zeros(d), 3.0 * math.sqrt(d))
-        ev = success_counts(clf, np.zeros(d), fam, 100_000, RandomStream(3))
+        (ev,) = success_counts(clf, [np.zeros(d)], fam, 100_000, RandomStream(3))
         # P(chi_5 <= 3 sqrt 5) = 0.9999999855: expect every draw inside
         assert ev.successes >= 99_999
 
-    def test_mismatch_consumes_nothing(self):
+    def test_mismatch_consumes_nothing(self, monkeypatch):
+        from smoothcert import classifiers
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew")
+
+        monkeypatch.setattr(classifiers, "sample_chunks", no_draws)
         fam = SmoothingFamily.gaussian(3, 1.0)
-        clf = BallIndicator("l2", np.zeros(4), 1.0)
-        with pytest.raises(DomainError):
-            success_counts(clf, np.zeros(3), fam, 100, RandomStream(4))
+        with pytest.raises(DomainError, match="classifier expects d=4"):
+            success_counts(BallIndicator("l2", np.zeros(4), 1.0), [np.zeros(3)], fam, 100,
+                           RandomStream(4))
+        clf = BallIndicator("l2", np.zeros(3), 1.0)
+        with pytest.raises(DomainError, match="at least one input"):
+            success_counts(clf, [], fam, 100, RandomStream(4))
+        with pytest.raises(DomainError, match="length 3"):
+            success_counts(clf, [np.zeros(3), np.zeros(2)], fam, 100, RandomStream(4))
 
     def test_reproducible(self):
         fam = SmoothingFamily.l2_power_tail(4, 1.0, 1.0)
         clf = BallIndicator("l2", np.zeros(4), 1.5)
-        a = success_counts(clf, np.zeros(4), fam, 20_000, RandomStream(5))
-        b = success_counts(clf, np.zeros(4), fam, 20_000, RandomStream(5))
-        assert a.successes == b.successes
+        a = success_counts(clf, [np.zeros(4)], fam, 20_000, RandomStream(5))
+        b = success_counts(clf, [np.zeros(4)], fam, 20_000, RandomStream(5))
+        assert a == b
 
     def test_in_place_shift_matches_out_of_place_reference(self):
         # blocks are shifted in place; x0 + block labels every row alike
@@ -123,7 +134,7 @@ class TestSuccessCounts:
         x0 = np.array([0.7, -0.3, 0.2, 0.0, 1.1, -0.9])
         clf = BallIndicator("l2", np.full(6, 0.5), 2.0)
         n, rng = 30_001, RandomStream(6)
-        got = success_counts(clf, x0, fam, n, rng)
+        (got,) = success_counts(clf, [x0], fam, n, rng)
         ref = sum(int(clf.labels(x0 + block).sum()) for block in sample_chunks(fam, n, rng))
         assert got.successes == ref and 0 < ref < n
 
@@ -140,36 +151,57 @@ class TestSuccessCounts:
         blocks = list(sample_chunks(fam, n, rng))
         assert len(blocks) == 8
         ref = sum(int(clf.labels(x0 + block).sum()) for block in blocks)
-        assert success_counts(clf, x0, fam, n, rng, workers=workers).successes == ref
-        assert success_counts(clf, x0, fam, n, rng).successes == ref
+        assert success_counts(clf, [x0], fam, n, rng, workers=workers)[0].successes == ref
+        assert success_counts(clf, [x0], fam, n, rng)[0].successes == ref
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_inputs_share_one_draw_and_count_like_one_input_calls(self, monkeypatch, workers):
+        # every input counts its hits on the same shards: m inputs give, input
+        # by input, the counts of m one-input calls on the same stream
+        from smoothcert import families
+
+        monkeypatch.setattr(families, "_SHARD_ROWS", 4_000)
+        fam = SmoothingFamily.l2_power_tail(6, 2.0, 1.0)
+        clf = BallIndicator("l2", np.full(6, 0.5), 2.0)
+        inputs = [np.array([0.7, -0.3, 0.2, 0.0, 1.1, -0.9]), np.zeros(6), np.full(6, 0.9)]
+        n, rng = 30_001, RandomStream(6)
+        assert families.shard_count(fam, n) == 8
+        got = success_counts(clf, inputs, fam, n, rng, workers=workers)
+        assert got == [success_counts(clf, [x0], fam, n, rng)[0] for x0 in inputs]
+        assert len({e.successes for e in got}) == 3
+        assert np.array_equal(inputs[-1], np.full(6, 0.9))  # shifted blocks, not the input
 
     def test_external_stage_one_over_shards_counts_like_the_ball(self, monkeypatch):
-        # the adapter counts the shards serially on its one worker, at any workers
+        # the adapter counts the shards serially on its one worker, at any
+        # workers, every input on the same shards
         from smoothcert import families
 
         monkeypatch.setattr(families, "_SHARD_ROWS", 1_500)
         fam, n, rng = SmoothingFamily.l2_power_tail(4, 1.0, 1.0), 5_000, RandomStream(9)
-        x0 = np.array([0.4, 0.0, -0.2, 0.1])
-        ref = success_counts(BallIndicator("l2", np.zeros(4), 1.6), x0, fam, n, rng)
-        assert 0 < ref.successes < n
+        inputs = [np.array([0.4, 0.0, -0.2, 0.1]), np.array([1.2, 0.3, 0.0, -0.5])]
+        ball = BallIndicator("l2", np.zeros(4), 1.6)
+        ref = [success_counts(ball, [x0], fam, n, rng)[0] for x0 in inputs]
+        assert all(0 < e.successes < n for e in ref) and ref[0] != ref[1]
         with ExternalClassifier(WORKER + ["ball-l2", "--radius", "1.6"], batch_size=512) as ext:
-            got = success_counts(ext, x0, fam, n, rng, workers=2)
-        assert got == ref
+            assert success_counts(ext, inputs, fam, n, rng, workers=2) == ref
+            assert success_counts(ext, inputs[:1], fam, n, rng, workers=2) == ref[:1]
 
     def test_external_shards_are_drawn_one_ahead_on_the_pool(self, monkeypatch):
         # at workers > 1 a pool thread draws shard i + 1 while the calling
-        # thread labels shard i: every draw on the pool, every label on the
-        # caller in shard order, and no draw more than one shard ahead
+        # thread labels shard i for every input: every draw on the pool, once,
+        # every label on the caller in (shard, input) order, and no draw more
+        # than one shard ahead
         import threading
 
         from smoothcert import classifiers, families
 
         monkeypatch.setattr(families, "_SHARD_ROWS", 1_500)
         fam, n, rng = SmoothingFamily.l2_power_tail(4, 1.0, 1.0), 5_000, RandomStream(9)
-        x0 = np.array([0.4, 0.0, -0.2, 0.1])
-        expected = [x0 + block for block in families.sample_chunks(fam, n, rng)]
-        assert len(expected) == 4
-        ref = success_counts(BallIndicator("l2", np.zeros(4), 1.6), x0, fam, n, rng)
+        inputs = [np.array([0.4, 0.0, -0.2, 0.1]), np.array([1.2, 0.3, 0.0, -0.5])]
+        expected = [x0 + block for block in families.sample_chunks(fam, n, rng) for x0 in inputs]
+        assert len(expected) == 4 * len(inputs)
+        ball = BallIndicator("l2", np.zeros(4), 1.6)
+        ref = [success_counts(ball, [x0], fam, n, rng)[0] for x0 in inputs]
         caller, lock = threading.get_ident(), threading.Lock()
         draws, labelled, labelled_before_draw = [], [], []
         real_draw, real_labels = classifiers.sample_chunks, ExternalClassifier.labels
@@ -190,13 +222,13 @@ class TestSuccessCounts:
         monkeypatch.setattr(classifiers, "sample_chunks", recording_draw)
         monkeypatch.setattr(ExternalClassifier, "labels", recording_labels)
         with ExternalClassifier(WORKER + ["ball-l2", "--radius", "1.6"], batch_size=512) as ext:
-            got = success_counts(ext, x0, fam, n, rng, workers=2)
+            got = success_counts(ext, inputs, fam, n, rng, workers=2)
         assert got == ref
         assert [i for i, _ in draws] == [0, 1, 2, 3]
         assert all(thread != caller for _, thread in draws)
         assert all(np.array_equal(a, b) for a, b in zip(labelled, expected, strict=True))
-        # shard i is drawn only once shards 0 .. i - 2 are labelled
-        assert all(done >= i - 1 for i, done in enumerate(labelled_before_draw))
+        # shard i is drawn only once shards 0 .. i - 2 are labelled for every input
+        assert all(done >= (i - 1) * len(inputs) for i, done in enumerate(labelled_before_draw))
 
 
 class TestExactSmoothedValue:
@@ -270,9 +302,9 @@ class TestExternalClassifier:
         fam = SmoothingFamily.gaussian(d, 1.0)
         in_process = BallIndicator("l2", np.zeros(d), 1.0)
         with ExternalClassifier(WORKER + ["ball-l2", "--radius", "1.0"]) as ext:
-            a = success_counts(in_process, np.zeros(d), fam, 10_000, RandomStream(7))
-            b = success_counts(ext, np.zeros(d), fam, 10_000, RandomStream(7))
-        assert a.successes == b.successes
+            a = success_counts(in_process, [np.zeros(d)], fam, 10_000, RandomStream(7))
+            b = success_counts(ext, [np.zeros(d)], fam, 10_000, RandomStream(7))
+        assert a == b
 
     def test_multiple_batches(self):
         pts = np.random.default_rng(2).normal(size=(2500, 2))

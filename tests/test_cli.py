@@ -392,11 +392,13 @@ class TestWorkerInvariance:
             "classifier": {"kind": "ball", "norm": "l2", "center": [0.0] * 6, "radius": 6.0},
             "inputs": {"vectors": [[0.0] * 6, [0.3] + [0.0] * 5, [0.0, 0.5] + [0.0] * 4]},
         }
-        if command in ("certify-external", "radius-external"):
-            # three stage-1 shards per input, the next drawn while the worker labels
+        if not command.startswith("pareto"):
+            # three stage-1 shards, pooled in process or, with the external
+            # worker, the next drawn while the worker labels
             from smoothcert import families
 
             monkeypatch.setattr(families, "_SHARD_ROWS", 700)
+        if command in ("certify-external", "radius-external"):
             cfg["classifier"] = {"kind": "external", "batch_size": 256,
                                  "command": EVAL_WORKER + ["ball-l2", "--radius", "6.0"]}
         if command.startswith("certify"):
@@ -513,10 +515,36 @@ class TestCertifyCommand:
         certs = json.loads((out / "result.json").read_text())["certificates"]
         assert len(certs) == inputs and all(c["certified"] for c in certs)
 
+    @pytest.mark.parametrize("inputs", [1, 3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_draws_stage_one_once(self, tmp_path, monkeypatch, inputs, workers):
+        # stage 1 does not depend on the input: one draw of its n1 rows per
+        # run, shard by shard, however many inputs count their hits on it
+        from smoothcert import SmoothingFamily, classifiers, families
+
+        monkeypatch.setattr(families, "_SHARD_ROWS", 300)
+        shards, real = [], classifiers.sample_chunks
+
+        def counting(*args, **kwargs):
+            for block in real(*args, **kwargs):
+                shards.append(block.shape[0])
+                yield block
+
+        monkeypatch.setattr(classifiers, "sample_chunks", counting)
+        out = tmp_path / "run"
+        cfg = certify_config(out, workers=workers, inputs={"vectors": [[0.1 * i, 0.0, 0.0, 0.0]
+                                                                       for i in range(inputs)]})
+        assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 0
+        assert len(shards) == families.shard_count(SmoothingFamily.gaussian(4, 1.0), 1000) == 4
+        assert sum(shards) == 1000
+        certs = json.loads((out / "result.json").read_text())["certificates"]
+        assert len(certs) == inputs and all(c["certified"] for c in certs)
+
     def test_every_input_reads_the_shared_draw(self, tmp_path):
         # each certificate is dual_lower_bound at its own p0_lower on the one
-        # draw of stream root.child(MAX_INPUTS); stage 1 of input idx draws the
-        # shards of root.child(idx).child(0), so its p0_lower values are frozen here
+        # draw of stream root.child(MAX_INPUTS); stage 1 draws the shards of
+        # root.child(0).child(0) once and every input counts its hits on them,
+        # so the p0_lower values are frozen here
         from smoothcert import RandomStream, SmoothingFamily, ThreatModel, dual_lower_bound
         from smoothcert.cli import MAX_INPUTS
         from smoothcert.discrepancy import noise_statistics
@@ -530,7 +558,7 @@ class TestCertifyCommand:
         assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 0
         certs = json.loads((out / "result.json").read_text())["certificates"]
         assert [c["p0_lower"] for c in certs] == [
-            0.9789826241354583, 0.9432267199419356, 0.4816545573121209]
+            0.9789826241354583, 0.9407626950877049, 0.48065539102623256]
         assert [c["status"] for c in certs] == ["certified", "certified", "abstain"]
         threat = ThreatModel("l2", 0.5)
         shared = noise_statistics(SmoothingFamily.gaussian(4, 1.0), 20_000,
