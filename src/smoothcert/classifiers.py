@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import betainc, gammainc
 
 from .errors import DomainError, TransportError, UnsupportedError
@@ -432,8 +431,11 @@ def exact_smoothed_value(
         P(||mu + z|| <= R) = F(R - a)  +  int p(rho) h(rho) drho
 
     with a = ||mu||, h the spherical cap fraction, and the integral
-    supported on |R - a| <= rho <= R + a.
+    supported on |R - a| <= rho <= R + a. ``scipy.integrate`` loads
+    here, on first use: no certificate needs it.
     """
+    from scipy import integrate
+
     if not isinstance(classifier, BallIndicator) or classifier.norm != "l2":
         raise UnsupportedError("exact_smoothed_value supports l2 ball indicators only")
     if family.variant not in ("gaussian", "l2_power_tail"):

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 verification checks failed, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -61,7 +62,7 @@ from .lab import (
     thin_shell_report,
     worst_delta_grid_check,
 )
-from .rng import MAX_CHILDREN, RandomStream
+from .rng import MAX_CHILDREN, SEED_MAX, SEED_MIN, RandomStream
 
 COMMANDS = ("certify", "radius", "sample", "pareto", "verify")
 SEED_ENV_VAR = "SMOOTHCERT_SEED"
@@ -112,6 +113,8 @@ def _finite(value, where: str) -> float:
 
 
 def _whole(value, where: str) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value  # exact: a comparison through float rounds past 2^53
     if _finite(value, where) != int(value):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     return int(value)
@@ -201,7 +204,7 @@ _NUMBER = Key("number", _OMIT)
 _COUNT = Key("integer", 100_000, 1, MAX_COUNT)
 _TOP_LEVEL_KEYS = {
     "command": _ANY,
-    "seed": Key("integer"),
+    "seed": Key("integer", _REQUIRED, SEED_MIN, SEED_MAX),
     "workers": Key("integer", _REQUIRED, 1, MAX_WORKERS),
     "out": Key("path"),
     "n": Key("integer", 1000, 1, MAX_COUNT),
@@ -316,8 +319,19 @@ def _load_inputs(section, dim: int) -> list[np.ndarray]:
     return rows
 
 
+@contextlib.contextmanager
+def _writing(path: Path):
+    """``path`` open for writing; an OSError while opening or writing it
+    is a config error naming it (a directory in its place, a full disk)."""
+    try:
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: Path, config: dict, header: list[str], rows: Iterable[list]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         fh.write(f"# engine_version={__version__}\n")
         fh.write(f"# config={json.dumps(config, sort_keys=True)}\n")
         writer = csv.writer(fh)
@@ -616,8 +630,8 @@ def run(config: dict) -> int:
     config = {**cfg, "seed": top["seed"], "workers": top["workers"]}
     code, body, header, rows = job(out, config)
     result = {"engine_version": __version__, "config": config, **body}
-    (out / "result.json").write_text(json.dumps(result, sort_keys=True, indent=2) + "\n",
-                                     encoding="utf-8")
+    with _writing(out / "result.json") as fh:
+        fh.write(json.dumps(result, sort_keys=True, indent=2) + "\n")
     _write_csv(out / "summary.csv", config, header, rows)
     return code
 

@@ -269,8 +269,9 @@ def _log_linf_law(d: int, k: float):
     at 0 once k > d-1 that PINV (Derflinger, Hoermann and Leydold 2010)
     cannot take; t = log M has the bounded, strictly concave log-density
     below for every 0 <= k < d. The object holds no random state: callers
-    pass their own uniforms to ``ppf``. ``scipy.stats`` costs about
-    0.3-0.7 s and 19 MB to import, so it loads here, on first use.
+    pass their own uniforms to ``ppf``. ``scipy.stats``, with the
+    ``scipy.optimize`` and ``scipy.integrate`` it loads, costs about
+    0.5-0.6 s and 45 MB to import, so it loads here, on first use.
     """
     from scipy.optimize import minimize_scalar
     from scipy.stats.sampling import NumericalInversePolynomial, UNURANError

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .classifiers import Classifier, evaluate
 from .discrepancy import (
@@ -352,8 +351,11 @@ def matched_mean_variance_ratios(dim: int = 100, reduction: float = 0.5) -> tupl
     Returns (k_star, variance ratio along the k curve, variance ratio
     along the sigma curve). The sigma curve is a scale family, so its
     ratio is exactly reduction^2; k_star is the root of the continuous
-    mean formula, found by Brent's method.
+    mean formula, found by Brent's method. ``scipy.optimize`` loads here,
+    on first use: only ``verify`` calls this.
     """
+    from scipy.optimize import brentq
+
     if not 0.0 < reduction < 1.0:
         raise DomainError(f"reduction must be in (0, 1), got {reduction}")
     base = radius_stats(SmoothingFamily.l2_power_tail(dim, 0.0, 1.0))

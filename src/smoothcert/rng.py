@@ -21,6 +21,9 @@ from .errors import DomainError
 _CHILD_FANOUT = 1024
 MAX_CHILDREN = _CHILD_FANOUT - 1  # child tags run 0 .. MAX_CHILDREN - 1
 MAX_SHARDS = MAX_CHILDREN**3  # shard indices run 0 .. MAX_SHARDS - 1 (over 1e9)
+# seeds are signed 64-bit: the generator reads a seed modulo 2^64, so
+# this range is the widest in which no two seeds share a stream
+SEED_MIN, SEED_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -29,6 +32,8 @@ class RandomStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
+        if not SEED_MIN <= self.seed <= SEED_MAX:
+            raise DomainError(f"seed must be in [{SEED_MIN}, {SEED_MAX}], got {self.seed}")
         if self.stream_id < 0:
             raise DomainError(f"stream_id must be >= 0, got {self.stream_id}")
 

@@ -20,13 +20,16 @@ from smoothcert import (
     SmoothingFamily,
     TransportError,
     UnsupportedError,
+    eval_worker,
     evaluate,
     exact_smoothed_value,
     sample,
     success_counts,
 )
 
-WORKER = [sys.executable, "-m", "smoothcert.eval_worker"]
+# started by path, as a model runtime would run a copy: ``python -m`` would
+# import the whole smoothcert package (numpy, scipy.special) at each spawn
+WORKER = [sys.executable, eval_worker.__file__]
 _MAX = sys.float_info.max
 # every finite double, with the edges of the format drawn often
 _DOUBLES = st.one_of(
@@ -474,6 +477,24 @@ class TestExternalClassifier:
 
 class TestReferenceWorker:
     """``eval_worker`` labels equal the in-process classifiers' labels."""
+
+    def test_imports_the_standard_library_only(self):
+        # the file is a template to copy into any Python runtime; -I and a
+        # load by path keep PYTHONPATH and the smoothcert package out, and
+        # the baseline drops whatever the interpreter's site set-up imported
+        code = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import importlib.util\n"
+            f"spec = importlib.util.spec_from_file_location('worker', {eval_worker.__file__!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print('argparse' in new, sorted(new - sys.stdlib_module_names))\n"
+        )
+        done = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True,
+                              check=True, timeout=60)
+        # True: the file really loaded; []: nothing outside the standard library
+        assert done.stdout == "True []\n"
 
     @pytest.mark.parametrize("label", [0, 1])
     def test_constant(self, label):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from smoothcert import DomainError
+from smoothcert import DomainError, eval_worker
 from smoothcert.cli import main
 
 
@@ -376,7 +376,9 @@ class TestConfigFuzz:
             assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
-EVAL_WORKER = [sys.executable, "-m", "smoothcert.eval_worker"]
+# the reference worker by path, as perfbench starts it: ``python -m``
+# imports the smoothcert package first (test_external_loopback runs it so)
+EVAL_WORKER = [sys.executable, eval_worker.__file__]
 
 
 class TestWorkerInvariance:
@@ -608,11 +610,12 @@ class TestCertifyCommand:
     def test_worker_center_of_the_wrong_length_exits_3(self, tmp_path, capsys):
         cfg = certify_config(tmp_path / "run", classifier={
             "kind": "external", "timeout_ms": 10_000,
-            "command": [sys.executable, "-m", "smoothcert.eval_worker", "ball-l2", "--center", "0,0"]})
+            "command": EVAL_WORKER + ["ball-l2", "--center", "0,0"]})
         assert run_cli(["certify", "--config", write_config(tmp_path, cfg)]) == 3
         assert capsys.readouterr().err.count("\n") == 1
 
     def test_external_loopback(self, tmp_path):
+        # the documented ``python -m`` command; other tests start the file by path
         out = tmp_path / "run"
         cfg = certify_config(
             out,
@@ -818,6 +821,69 @@ class TestSeedEnvVar:
         assert result["config"]["seed"] == 5
 
 
+def _sample_rows(tmp_path, seed):
+    """The exit code and the samples.csv rows of a 3-row gaussian ``sample`` at ``seed``."""
+    out = tmp_path / f"seed{seed}"
+    cfg = {"workers": 1, "out": str(out), "n": 3,
+           "family": {"variant": "gaussian", "dim": 2, "sigma": 1.0}}
+    if seed is not None:
+        cfg["seed"] = seed
+    code = run_cli(["sample", "--config", write_config(tmp_path, cfg)])
+    rows = (out / "samples.csv").read_text().splitlines()[3:] if code == 0 else None
+    return code, rows
+
+
+class TestSeedRange:
+    """Seeds are exactly the signed 64-bit integers, so no two share a stream."""
+
+    def test_seed_past_two_to_the_53_runs_exactly(self, tmp_path):
+        # 2^53 + 1 is not a float: a float comparison refused it, and would alias 2^53
+        code, rows = _sample_rows(tmp_path, 2**53 + 1)
+        assert code == 0
+        assert rows != _sample_rows(tmp_path, 2**53)[1]
+        result = json.loads((tmp_path / f"seed{2**53 + 1}" / "result.json").read_text())
+        assert result["config"]["seed"] == 2**53 + 1
+
+    def test_negative_seed_keeps_its_stream(self, tmp_path):
+        assert _sample_rows(tmp_path, -1) == (0, [
+            "-0.5828658842986603,-0.6643987474259963",
+            "0.9277888234281908,-1.3013590293700739",
+            "-0.2573624048499213,0.6731266770896781",
+        ])
+
+    @pytest.mark.parametrize("seed", [2**64, 2**63, -(2**63) - 1])
+    @pytest.mark.parametrize("source", ["config", "env"])
+    def test_seed_outside_64_bits_is_a_config_error(self, tmp_path, capsys, monkeypatch, seed,
+                                                    source):
+        # 2^64 once wrote seed 0's rows, and 2^63 seed -2^63's
+        if source == "env":
+            monkeypatch.setenv("SMOOTHCERT_SEED", str(seed))
+        code, _ = _sample_rows(tmp_path, seed if source == "config" else None)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.seed must be in "
+                              "[-9223372036854775808, 9223372036854775807]")
+        assert err.count("\n") == 1
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command, name", [("radius", "result.json"),
+                                               ("radius", "summary.csv"),
+                                               ("sample", "samples.csv")])
+    def test_directory_in_place_of_an_output_file_exits_2(self, tmp_path, capsys, command,
+                                                          name):
+        # a directory stops root, which ignores file modes
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        args = (["--closed-form", "cohen", "--p0", "0.9"] if command == "radius" else
+                ["--config", write_config(tmp_path, {
+                    "n": 3, "family": {"variant": "gaussian", "dim": 2, "sigma": 1.0}})])
+        assert run_cli([command, *args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out / name}: ")
+        assert err.count("\n") == 1
+
+
 class TestRadiusSearchCommand:
     def test_search_mode(self, tmp_path):
         out = tmp_path / "run"
@@ -922,6 +988,21 @@ class TestParetoCommand:
         assert rows[2].startswith("variant") or rows[2].startswith("mixed")
 
 
+# scipy.stats loads scipy.optimize and scipy.integrate, and they load
+# scipy.linalg and scipy.sparse: together about 0.5-0.6 s and 45 MB
+_HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.stats", "scipy.linalg", "scipy.sparse")
+
+
+def _heavy_loaded_after(code: str) -> str:
+    """The modules of ``_HEAVY`` in a fresh interpreter's ``sys.modules``
+    once it has run ``code``, as a printed list."""
+    probe = f"{code}\nimport sys\nprint(sorted(m for m in {_HEAVY!r} if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 class TestImportCost:
     def test_cli_import_leaves_scipy_stats_unloaded(self):
         # scipy.stats costs 0.3-0.7 s to import; only the first mixed_norm
@@ -930,3 +1011,37 @@ class TestImportCost:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               check=True)
         assert done.stdout.strip() == "False"
+
+    def test_cli_import_loads_no_heavy_scipy_module(self):
+        assert _heavy_loaded_after("import smoothcert.cli") == "[]"
+
+    def test_l2_runs_load_no_heavy_scipy_module(self, tmp_path):
+        # only verify (scipy.optimize), exact_smoothed_value (scipy.integrate)
+        # and a mixed_norm draw (scipy.stats) may load them
+        family = {"variant": "l2_power_tail", "dim": 4, "k": 1.0, "sigma": 1.0}
+        configs = [
+            certify_config(tmp_path / "certify", command="certify", workers=2,
+                           counts={"n1": 500, "n2": 2000}),
+            certify_config(tmp_path / "radius", command="radius", family=family,
+                           counts={"n1": 500, "n2": 2000}, search={"iterations": 3}),
+            {"command": "radius", "out": str(tmp_path / "cohen"),
+             "closed_form": {"method": "cohen", "p0": 0.9}},
+        ]
+        del configs[1]["threat"]
+        code = ("from smoothcert import cli\n"
+                f"assert [cli.run(cfg) for cfg in {configs!r}] == [0, 0, 0]")
+        assert _heavy_loaded_after(code) == "[]"
+        assert json.loads((tmp_path / "radius" / "result.json").read_text())["certified"]
+
+    @pytest.mark.parametrize("call, value", [
+        # the values the eager imports gave, bit for bit
+        ("lab.matched_mean_variance_ratios()", "(74.6297074690963, 0.9924504091221062, 0.25)"),
+        ("classifiers.exact_smoothed_value(classifiers.BallIndicator('l2', np.zeros(4), 1.5), "
+         "np.zeros(4), families.SmoothingFamily.l2_power_tail(4, 1.0, 1.0), "
+         "np.array([0.5, 0.0, 0.0, 0.0]))", "0.4391392022955982"),
+    ], ids=["matched_mean_variance_ratios", "exact_smoothed_value"])
+    def test_first_call_keeps_its_value(self, call, value):
+        code = ("import numpy as np\n"
+                "from smoothcert import classifiers, families, lab\n"
+                f"print(repr({call}))")
+        assert _heavy_loaded_after(code).splitlines()[0] == value

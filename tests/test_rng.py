@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smoothcert import RandomStream
+from smoothcert import DomainError, RandomStream
 
 
 class TestRandomStream:
@@ -38,3 +38,14 @@ class TestRandomStream:
     def test_negative_stream_id_rejected(self):
         with pytest.raises(ValueError):
             RandomStream(1, -1)
+
+    def test_seed_is_signed_64_bit(self):
+        from smoothcert.rng import SEED_MAX, SEED_MIN
+
+        assert (SEED_MIN, SEED_MAX) == (-(2**63), 2**63 - 1)
+        for seed in (SEED_MIN, -1, 0, SEED_MAX):
+            assert RandomStream(seed).child(3).seed == seed
+        # the generator reads a seed modulo 2^64: past the range, seeds would alias
+        for bad in (SEED_MIN - 1, SEED_MAX + 1, 2**64):
+            with pytest.raises(DomainError, match="seed must be in"):
+                RandomStream(bad)
