@@ -354,14 +354,16 @@ def success_counts(
     shifted by itself (the last input shifts the block in place, so
     one input costs no copy), and its count sums the shards' counts in
     shard order, so it depends only on (family, n, rng) and equals the
-    count of a one-input call. With ``workers > 1`` an in-process
-    classifier counts the shards on a pool of that many threads; an
+    count of a one-input call. An in-process classifier counts the
+    shards on a pool of ``min(workers, shards)`` threads; an
     ``ExternalClassifier`` drives its one subprocess from the calling
     thread, shard by shard and input by input, while one pool thread
-    draws the next shard (at most one ahead).
+    draws the next shard (at most one ahead), at any ``workers``.
     """
     if n < 1:
         raise DomainError(f"success_counts requires n >= 1, got {n}")
+    if workers < 1:
+        raise DomainError(f"success_counts requires workers >= 1, got {workers}")
     inputs = [np.asarray(x0, dtype=float) for x0 in inputs]
     if not inputs:
         raise DomainError("success_counts requires at least one input")
@@ -385,9 +387,7 @@ def success_counts(
         return block
 
     total = shard_count(family, n)
-    if workers <= 1 or total == 1:
-        per_shard = [count(block) for block in sample_chunks(family, n, rng)]
-    elif not isinstance(classifier, ExternalClassifier):
+    if not isinstance(classifier, ExternalClassifier):
         with ThreadPoolExecutor(max_workers=min(workers, total)) as pool:
             per_shard = list(pool.map(lambda i: count(draw(i)), range(total)))
     else:

@@ -606,16 +606,18 @@ def _default_seed() -> int:
 def run(config: dict) -> int:
     """Execute a config; returns the process exit code.
 
-    ``seed`` defaults to ``SMOOTHCERT_SEED`` (else 0), ``workers`` to
-    the CPU count and ``out`` to ``smoothcert-out``. The whole config is
-    checked before any work starts.
+    ``seed`` defaults to ``SMOOTHCERT_SEED`` (else 0), which is read
+    only when no seed is given, ``workers`` to the CPU count and ``out``
+    to ``smoothcert-out``. The whole config is checked before any work
+    starts.
     """
     cfg = {
-        "seed": _default_seed(),
         "workers": min(os.cpu_count() or 1, MAX_WORKERS),
         "out": "smoothcert-out",
         **_object(config, "config"),
     }
+    if "seed" not in cfg:
+        cfg["seed"] = _default_seed()
     command = cfg.get("command")
     if not isinstance(command, str) or command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")

@@ -241,9 +241,7 @@ def _log_ratio_batch(
     origin.
     """
     delta = np.asarray(delta, dtype=float)
-    if family.variant == "gaussian":
-        return (2.0 * z @ delta - float(delta @ delta)) / (2.0 * family.sigma**2)
-    if family.variant == "mixed_norm" or family.variant == "l2_power_tail":
+    if family.variant in ("gaussian", "mixed_norm", "l2_power_tail"):  # gaussian is k = 0
         out = (2.0 * z @ delta - float(delta @ delta)) / (2.0 * family.sigma**2)
         if family.k > 0.0:
             power_shift, _ = _norms(family.variant, z - delta)

@@ -161,9 +161,12 @@ def pareto_sweep(
     point of the same family. Each (variant, k) group draws n unit-scale
     rows once, on its own child stream, and serves all its scales from
     them (``_sweep_point``): its points are positively correlated, each
-    with the SE it would have alone. Groups run on disjoint streams, so
-    the result is independent of worker scheduling.
+    with the SE it would have alone. The groups run on a pool of
+    ``workers`` threads, each on its own disjoint stream, so the result
+    is independent of worker scheduling.
     """
+    if workers < 1:
+        raise DomainError(f"pareto_sweep requires workers >= 1, got {workers}")
     x0 = np.asarray(x0, dtype=float)
     # every family and worst shift is built here, so a bad grid or threat
     # fails before any draw or thread
@@ -176,11 +179,8 @@ def pareto_sweep(
         estimates = _sweep_point(truth, x0, threat, family, scales, n, rng.child(index))
         return [ParetoPoint(family.variant, k, s, *e) for s, e in zip(scales, estimates)]
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            raw = [p for points in pool.map(one, range(len(groups))) for p in points]
-    else:
-        raw = [p for index in range(len(groups)) for p in one(index)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        raw = [p for points in pool.map(one, range(len(groups))) for p in points]
     out: list[ParetoPoint] = []
     for p in raw:
         dominated = any(
@@ -273,21 +273,20 @@ def best_bound_by_family(
     dim: int,
     n: int,
     rng: RandomStream,
-    alpha: float = 1e-3,
 ) -> dict[str, FamilyBest]:
     """Best achievable dual bound per family over its parameter grid.
 
     A diagnostic companion to the lambda = 1 Pareto view: for each
     configuration the smoothed accuracy (plain MC, no confidence
-    haircut) feeds the dual maximization, and the family's score is the
-    best bound across its grid. At d = 5, linf r = 0.1 on the 3 x 3 grid
-    (k in {0, 1, 2}, sigma in {0.1, 0.17, 0.3}) against the r = 0.65
-    l2-ball truth, mixed_norm matches l2_power_tail within the 2-SE
-    guard of ``bound_margin`` and both beat linf_pure beyond it, at
-    n = 30k. The lambda = 1 slice orders the families differently: at
-    equal (k, sigma) mixed_norm and l2_power_tail share one l2 radius
-    law, hence one accuracy, and mixed_norm has the larger vertex total
-    variation.
+    haircut) feeds the dual maximization at alpha = 1e-3, and the
+    family's score is the best bound across its grid. At d = 5, linf
+    r = 0.1 on the 3 x 3 grid (k in {0, 1, 2}, sigma in {0.1, 0.17, 0.3})
+    against the r = 0.65 l2-ball truth, mixed_norm matches l2_power_tail
+    within the 2-SE guard of ``bound_margin`` and both beat linf_pure
+    beyond it, at n = 30k. The lambda = 1 slice orders the families
+    differently: at equal (k, sigma) mixed_norm and l2_power_tail share
+    one l2 radius law, hence one accuracy, and mixed_norm has the larger
+    vertex total variation.
     """
     x0 = np.asarray(x0, dtype=float)
     best: dict[str, FamilyBest] = {}
@@ -301,7 +300,7 @@ def best_bound_by_family(
             if point.accuracy <= 0.0:
                 continue
             stats = noise_statistics(family, n, rng.child(tag))
-            result = dual_lower_bound(min(point.accuracy, 1.0), threat, alpha, stats)
+            result = dual_lower_bound(min(point.accuracy, 1.0), threat, 1e-3, stats)
             tag += 1
             if point.variant not in best or result.bound > best[point.variant].bound:
                 best[point.variant] = FamilyBest(result, point)
@@ -320,56 +319,44 @@ class CurvePoint:
     variance: float
 
 
-def mean_variance_curve(
-    dim: int = 100,
-    sigma_values: tuple[float, ...] | None = None,
-    k_values: tuple[float, ...] | None = None,
-) -> list[CurvePoint]:
-    """Analytic radius mean/variance for the two l2 tuning strategies.
+def mean_variance_curve() -> list[CurvePoint]:
+    """Analytic radius mean/variance for the two l2 tuning strategies at d = 100.
 
-    The sigma curve varies the scale at k = 0; the k curve varies the
-    tail exponent at sigma = 1. Moments come from the closed forms, so
-    the curves carry no Monte Carlo noise.
+    The sigma curve varies the scale over 25 geometric steps of
+    [0.1, 1] at k = 0; the k curve varies the tail exponent over 33
+    steps of [0, 80] at sigma = 1. Moments come from the closed forms,
+    so the curves carry no Monte Carlo noise.
     """
-    if sigma_values is None:
-        sigma_values = tuple(np.geomspace(0.1, 1.0, 25))
-    if k_values is None:
-        k_values = tuple(np.linspace(0.0, min(80.0, dim - 2.0), 33))
     rows: list[CurvePoint] = []
-    for sigma in sigma_values:
-        stats = radius_stats(SmoothingFamily.l2_power_tail(dim, 0.0, float(sigma)))
+    for sigma in np.geomspace(0.1, 1.0, 25):
+        stats = radius_stats(SmoothingFamily.l2_power_tail(100, 0.0, float(sigma)))
         rows.append(CurvePoint("sigma", float(sigma), stats.mean, stats.variance))
-    for k in k_values:
-        stats = radius_stats(SmoothingFamily.l2_power_tail(dim, float(k), 1.0))
+    for k in np.linspace(0.0, 80.0, 33):
+        stats = radius_stats(SmoothingFamily.l2_power_tail(100, float(k), 1.0))
         rows.append(CurvePoint("k", float(k), stats.mean, stats.variance))
     return rows
 
 
-def matched_mean_variance_ratios(dim: int = 100, reduction: float = 0.5) -> tuple[float, float, float]:
-    """Variance ratios of the two strategies at a matched mean reduction.
+def matched_mean_variance_ratios() -> tuple[float, float, float]:
+    """Variance ratios of the two strategies when each halves the mean at d = 100.
 
     Returns (k_star, variance ratio along the k curve, variance ratio
     along the sigma curve). The sigma curve is a scale family, so its
-    ratio is exactly reduction^2; k_star is the root of the continuous
-    mean formula, found by Brent's method. ``scipy.optimize`` loads here,
-    on first use: only ``verify`` calls this.
+    ratio is exactly 0.5^2; k_star is the root of the continuous mean
+    formula on [0, d - 1), found by Brent's method. ``scipy.optimize``
+    loads here, on first use: only ``verify`` calls this.
     """
     from scipy.optimize import brentq
 
-    if not 0.0 < reduction < 1.0:
-        raise DomainError(f"reduction must be in (0, 1), got {reduction}")
-    base = radius_stats(SmoothingFamily.l2_power_tail(dim, 0.0, 1.0))
-    target = reduction * base.mean
+    base = radius_stats(SmoothingFamily.l2_power_tail(100, 0.0, 1.0))
+    target = 0.5 * base.mean
 
     def mean_at(k: float) -> float:
-        return radius_stats(SmoothingFamily.l2_power_tail(dim, k, 1.0)).mean
+        return radius_stats(SmoothingFamily.l2_power_tail(100, k, 1.0)).mean
 
-    hi = dim - 1.0 - 1e-9
-    if mean_at(hi) > target:
-        raise DomainError(f"mean reduction {reduction} unreachable at d={dim}")
-    k_star = brentq(lambda k: mean_at(k) - target, 0.0, hi)
-    var_k = radius_stats(SmoothingFamily.l2_power_tail(dim, k_star, 1.0)).variance
-    return k_star, var_k / base.variance, reduction * reduction
+    k_star = brentq(lambda k: mean_at(k) - target, 0.0, 99.0 - 1e-9)
+    var_k = radius_stats(SmoothingFamily.l2_power_tail(100, k_star, 1.0)).variance
+    return k_star, var_k / base.variance, 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -385,56 +372,34 @@ class ThinShellRow:
     laplace_fraction_relative: float
 
 
-def thin_shell_report(
-    dims: tuple[int, ...],
-    n: int,
-    rng: RandomStream,
-    chebyshev_delta: float = 0.05,
-    relative_band: float = 0.1,
-) -> list[ThinShellRow]:
+def thin_shell_report(dims: tuple[int, ...], n: int, rng: RandomStream) -> list[ThinShellRow]:
     """Empirical norm concentration for unit Gaussian and Laplacian noise.
 
     Per dimension: the fraction of ||z||_2 inside sqrt(d) +- 4
     (concentration proposition with the constant absorbed) and of
-    ||z||_1 / d inside 1 +- 1/sqrt(d * delta) (Chebyshev bound). The
-    additional +-10% relative-band columns expose the absence of
-    concentration at low d, where the absolute intervals are so wide
-    they trivially contain everything.
+    ||z||_1 / d inside 1 +- 1/sqrt(0.05 d) (Chebyshev bound at
+    delta = 0.05). The additional +-10% relative-band columns expose
+    the absence of concentration at low d, where the absolute intervals
+    are so wide they trivially contain everything.
     """
     if n < 1:
         raise DomainError(f"thin_shell_report requires n >= 1, got {n}")
     rows: list[ThinShellRow] = []
     for tag, d in enumerate(dims):
-        gauss = SmoothingFamily.gaussian(d, 1.0)
-        laplace = SmoothingFamily.laplacian(d, 1.0)
-        target = math.sqrt(d)
-        g_hits = g_rel_hits = 0
-        for block in sample_chunks(gauss, n, rng.child(2 * tag)):
-            norms = np.linalg.norm(block, axis=1)
-            g_hits += int(((norms >= target - 4.0) & (norms <= target + 4.0)).sum())
-            g_rel_hits += int(
-                (
-                    (norms >= target * (1.0 - relative_band))
-                    & (norms <= target * (1.0 + relative_band))
-                ).sum()
-            )
-        width = 1.0 / math.sqrt(d * chebyshev_delta)
-        l_hits = l_rel_hits = 0
-        for block in sample_chunks(laplace, n, rng.child(2 * tag + 1)):
-            means = np.abs(block).sum(axis=1) / d
-            l_hits += int(((means >= 1.0 - width) & (means <= 1.0 + width)).sum())
-            l_rel_hits += int(
-                ((means >= 1.0 - relative_band) & (means <= 1.0 + relative_band)).sum()
-            )
-        rows.append(
-            ThinShellRow(
-                dim=d,
-                gauss_fraction=g_hits / n,
-                gauss_fraction_relative=g_rel_hits / n,
-                laplace_fraction=l_hits / n,
-                laplace_fraction_relative=l_rel_hits / n,
-            )
-        )
+        fractions = []  # absolute then relative band, Gaussian then Laplacian
+        for i, (family, statistic, centre, half_width) in enumerate((
+            (SmoothingFamily.gaussian(d, 1.0), lambda z: np.linalg.norm(z, axis=1),
+             math.sqrt(d), 4.0),
+            (SmoothingFamily.laplacian(d, 1.0), lambda z: np.abs(z).sum(axis=1) / d,
+             1.0, 1.0 / math.sqrt(d * 0.05)),
+        )):
+            hits = relative_hits = 0
+            for block in sample_chunks(family, n, rng.child(2 * tag + i)):
+                values = statistic(block)
+                hits += int(((values >= centre - half_width) & (values <= centre + half_width)).sum())
+                relative_hits += int(((values >= centre * 0.9) & (values <= centre * 1.1)).sum())
+            fractions += [hits / n, relative_hits / n]
+        rows.append(ThinShellRow(d, *fractions))
     return rows
 
 
@@ -450,7 +415,6 @@ class WorstDeltaCheck:
     argmax: tuple[float, float]
     interior_max: float
     boundary_spread: float
-    tolerance: float
     passed: bool
 
     @property
@@ -458,32 +422,36 @@ class WorstDeltaCheck:
         return self.star_value - self.interior_max
 
 
-def _delta_grid(threat: ThreatModel, boundary_points: int, interior_grid: int) -> tuple[list[np.ndarray], list[bool]]:
-    """Probe shifts covering the threat set; flags mark boundary points."""
+def _delta_grid(threat: ThreatModel) -> tuple[list[np.ndarray], list[bool]]:
+    """Probe shifts covering the threat set; flags mark boundary points.
+
+    On l2 and l1: 16 boundary points and 3 interior rings at 1/4, 1/2
+    and 3/4 of the radius. On linf: a 9 x 9 grid of the cube.
+    """
     r = threat.radius
     deltas: list[np.ndarray] = []
     on_boundary: list[bool] = []
     if threat.norm == "l2":
-        angles = np.linspace(0.0, 2.0 * math.pi, boundary_points, endpoint=False)
+        angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
         for phi in angles:
             deltas.append(r * np.array([math.cos(phi), math.sin(phi)]))
             on_boundary.append(True)
-        for frac in np.linspace(0.25, 0.75, interior_grid):
-            for phi in angles[:: max(1, boundary_points // 8)]:
+        for frac in np.linspace(0.25, 0.75, 3):
+            for phi in angles[::2]:
                 deltas.append(frac * r * np.array([math.cos(phi), math.sin(phi)]))
                 on_boundary.append(False)
     elif threat.norm == "l1":
-        ts = np.linspace(0.0, 1.0, max(2, boundary_points // 4))
+        ts = np.linspace(0.0, 1.0, 4)
         for t in ts:
             for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
                 deltas.append(np.array([sx * t * r, sy * (1.0 - t) * r]))
                 on_boundary.append(True)
-        for frac in np.linspace(0.25, 0.75, interior_grid):
-            for t in ts[:: max(1, len(ts) // 3)]:
+        for frac in np.linspace(0.25, 0.75, 3):
+            for t in ts:
                 deltas.append(frac * np.array([t * r, (1.0 - t) * r]))
                 on_boundary.append(False)
     else:  # linf: full cube grid, corners are the boundary extreme points
-        side = np.linspace(-r, r, interior_grid)
+        side = np.linspace(-r, r, 9)
         for dx in side:
             for dy in side:
                 deltas.append(np.array([dx, dy]))
@@ -496,28 +464,20 @@ def worst_delta_grid_check(
     threat: ThreatModel,
     lambdas: tuple[float, ...],
     quad_grid: QuadratureGrid | None = None,
-    boundary_points: int = 16,
-    interior_grid: int = 3,
-    tolerance: float = 1e-4,
 ) -> list[WorstDeltaCheck]:
     """Verify by quadrature that D is maximized at the theorem's shift.
 
     Evaluates the d = 2 quadrature oracle over a grid of shifts
-    covering the threat set (one kernel evaluation per shift, shared by
-    every lambda) and asserts, per lambda, that the maximum
-    is attained at delta* within the stated tolerance. Also reports the
+    covering the threat set (``_delta_grid``; one kernel evaluation per
+    shift, shared by every lambda) and asserts, per lambda, that the
+    maximum is attained at delta* within 1e-4. Also reports the
     strict-interior maximum and, for rotationally symmetric cases, the
     spread across boundary directions.
     """
     if family.dim != 2:
         raise DomainError("worst_delta_grid_check runs on the d=2 quadrature oracle")
     star = worst_delta(threat, family).vector
-    if threat.norm == "linf":
-        probe_grid = interior_grid if interior_grid % 2 == 1 else interior_grid + 1
-        probe_grid = max(probe_grid, 9)
-    else:
-        probe_grid = interior_grid
-    deltas, on_boundary = _delta_grid(threat, boundary_points, probe_grid)
+    deltas, on_boundary = _delta_grid(threat)
     for lam in lambdas:
         _check_quadrature_args(family, lam)
     table = _quadrature_polar_2d(
@@ -543,8 +503,7 @@ def worst_delta_grid_check(
                 argmax=(float(deltas[best][0]), float(deltas[best][1])),
                 interior_max=max(interior) if interior else -math.inf,
                 boundary_spread=spread,
-                tolerance=tolerance,
-                passed=float(values[best]) <= star_value + tolerance,
+                passed=float(values[best]) <= star_value + 1e-4,
             )
         )
     return checks
@@ -575,14 +534,13 @@ def gaussian_oracle_reconciliation(
     alpha: float,
     rng: RandomStream,
     quad_grid: QuadratureGrid | None = None,
-    quad_tolerance: float = 1e-4,
 ) -> list[ReconciliationRow]:
     """Three-way agreement table for Gaussian D at d = 2.
 
     For each (sigma, r, lambda): the closed form, the Monte Carlo
     estimate (tolerance epsilon + 3 standard errors), and the
-    quadrature oracle (tolerance ``quad_tolerance``); ``pair_ok``
-    checks MC against quadrature under the combined tolerance.
+    quadrature oracle (tolerance 1e-4); ``pair_ok`` checks MC against
+    quadrature under the combined tolerance.
     """
     rows: list[ReconciliationRow] = []
     for tag, (sigma, r, lam) in enumerate(triples):
@@ -603,8 +561,8 @@ def gaussian_oracle_reconciliation(
                 mc_std_error=est.std_error,
                 quadrature=quad,
                 mc_ok=abs(est.mean - closed) <= mc_tol,
-                quad_ok=abs(quad - closed) <= quad_tolerance,
-                pair_ok=abs(est.mean - quad) <= mc_tol + quad_tolerance,
+                quad_ok=abs(quad - closed) <= 1e-4,
+                pair_ok=abs(est.mean - quad) <= mc_tol + 1e-4,
             )
         )
     return rows

@@ -221,13 +221,13 @@ def test_criterion_6_statistical_validity():
 
 
 def test_criterion_7_mean_variance_curves():
-    rows = mean_variance_curve(100)
+    rows = mean_variance_curve()
     sigma_rows = [c for c in rows if c.curve == "sigma"]
     slope = np.polyfit(
         np.log([c.mean for c in sigma_rows]), np.log([c.variance for c in sigma_rows]), 1
     )[0]
     slope_ok = abs(slope - 2.0) <= 0.05
-    k_star, ratio_k, ratio_sigma = matched_mean_variance_ratios(100, 0.5)
+    k_star, ratio_k, ratio_sigma = matched_mean_variance_ratios()
     ratio_ok = ratio_k > ratio_sigma
     ok = slope_ok and ratio_ok
     report(7, "radius mean/variance curves", ok,

@@ -441,3 +441,60 @@ def test_unsupported_threat_raises_before_stage_one(monkeypatch, label):
         certify(Constant(label), [np.zeros(3)], ThreatModel("l2", 0.5), 500, budget, rng, stats)
     with pytest.raises(UnsupportedError):
         certified_radius_search(Constant(label), np.zeros(3), "l2", 2.0, 500, budget, rng, stats)
+
+
+class TestCoverageAudit:
+    """Does a certificate claim more than the exact worst-case value at the
+    rate its level allows, and no more?
+
+    With one stage-2 draw fixed (large n2, small alpha_mc), a certificate
+    depends on the classifier only through its stage-1 success count, and
+    its bound is monotone in that count. So the chance that it exceeds the
+    exact worst-case value is, conditional on the draw, the Binomial(n1, p0)
+    tail from the smallest count whose bound does: an exact sum with no
+    Monte Carlo error. On the DKW event a miss needs p0_lower > p0, so the
+    sum is at most alpha_p0. Clopper-Pearson at 2 alpha_p0 fails every point
+    (0.28-0.32 at alpha_p0 = 0.19, 0.16 at 0.1).
+    """
+
+    N1, P0, ALPHA_MC = 1000, 0.9, 0.01
+
+    @pytest.fixture(scope="class")
+    def stage_two(self):
+        # one draw per family at n2 = 1e6, on a seed fixed before the first run
+        return {family.variant: noise_statistics(family, 1_000_000, RandomStream(7))
+                for family in (SmoothingFamily.gaussian(4, 1.0), SmoothingFamily.laplacian(4, 1.0))}
+
+    @pytest.mark.parametrize("alpha_p0", [0.19, 0.1])
+    @pytest.mark.parametrize("variant, threat, truth", [
+        ("gaussian", ThreatModel("l2", 0.25), cohen_bound(0.9, 1.0, 0.25)),
+        ("laplacian", ThreatModel("l1", 0.25), teng_bound(0.9, 1.0, 0.25)),
+        # the linf corner of radius 0.125 in d = 4 is an l2 shift of 0.25
+        ("gaussian", ThreatModel("linf", 0.125), cohen_bound(0.9, 1.0, 0.25)),
+    ], ids=["gaussian-l2", "laplacian-l1", "gaussian-linf"])
+    def test_conditional_miss_is_within_alpha_p0(self, monkeypatch, stage_two, variant, threat,
+                                                 truth, alpha_p0):
+        import sys
+
+        from scipy.stats import binom
+
+        stage_one = []
+        # the package exports a function named certify, so take the module itself
+        monkeypatch.setattr(sys.modules["smoothcert.certify"], "success_counts",
+                            lambda *args, **kwargs: stage_one)
+        budget = ConfidenceBudget(alpha_p0 + self.ALPHA_MC, alpha_p0, self.ALPHA_MC)
+
+        def exceeds(count: int) -> bool:
+            stage_one[:] = [BinomialEvidence(count, self.N1)]
+            (cert,) = certify(Constant(1), [np.zeros(4)], threat, self.N1, budget,
+                              RandomStream(0), stage_two[variant])
+            return cert.bound > truth
+
+        lo, hi = -1, self.N1 + 1  # no miss at lo; a miss at hi, past every count
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if exceeds(mid) else (mid, hi)
+        miss = float(binom.sf(hi - 1, self.N1, self.P0))  # P(count >= hi)
+        print(f"{variant} {threat.norm} alpha_p0 {alpha_p0}: conditional miss {miss:.4f}, "
+              f"margin {alpha_p0 - miss:.4f}")
+        assert miss <= alpha_p0

@@ -122,6 +122,11 @@ class TestSuccessCounts:
         with pytest.raises(DomainError, match="length 3"):
             success_counts(clf, [np.zeros(3), np.zeros(2)], fam, 100, RandomStream(4))
 
+    def test_zero_workers_is_a_domain_error(self):
+        fam = SmoothingFamily.gaussian(3, 1.0)
+        with pytest.raises(DomainError, match="workers >= 1, got 0"):
+            success_counts(Constant(1), [np.zeros(3)], fam, 100, RandomStream(4), workers=0)
+
     def test_reproducible(self):
         fam = SmoothingFamily.l2_power_tail(4, 1.0, 1.0)
         clf = BallIndicator("l2", np.zeros(4), 1.5)
@@ -189,8 +194,9 @@ class TestSuccessCounts:
             assert success_counts(ext, inputs, fam, n, rng, workers=2) == ref
             assert success_counts(ext, inputs[:1], fam, n, rng, workers=2) == ref[:1]
 
-    def test_external_shards_are_drawn_one_ahead_on_the_pool(self, monkeypatch):
-        # at workers > 1 a pool thread draws shard i + 1 while the calling
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_external_shards_are_drawn_one_ahead_on_the_pool(self, monkeypatch, workers):
+        # at any workers a pool thread draws shard i + 1 while the calling
         # thread labels shard i for every input: every draw on the pool, once,
         # every label on the caller in (shard, input) order, and no draw more
         # than one shard ahead
@@ -225,7 +231,7 @@ class TestSuccessCounts:
         monkeypatch.setattr(classifiers, "sample_chunks", recording_draw)
         monkeypatch.setattr(ExternalClassifier, "labels", recording_labels)
         with ExternalClassifier(WORKER + ["ball-l2", "--radius", "1.6"], batch_size=512) as ext:
-            got = success_counts(ext, inputs, fam, n, rng, workers=2)
+            got = success_counts(ext, inputs, fam, n, rng, workers=workers)
         assert got == ref
         assert [i for i, _ in draws] == [0, 1, 2, 3]
         assert all(thread != caller for _, thread in draws)

@@ -434,8 +434,9 @@ class TestWorkerInvariance:
 
     @pytest.mark.parametrize("command", ["certify", "radius"])
     def test_stage_one_shards_do_not_depend_on_workers(self, tmp_path, monkeypatch, command):
-        # one input: the stage-1 shards run on the pool, each drawn through
-        # sample_chunks on a pool thread, and result.json is byte-identical
+        # one input: the stage-1 shards run on the pool at every workers, each
+        # drawn through sample_chunks on a pool thread, and result.json is
+        # byte-identical
         import threading
 
         from smoothcert import classifiers, families
@@ -467,7 +468,7 @@ class TestWorkerInvariance:
             threads.clear()
             assert run_cli([command, "--config", path, "--workers", str(workers)]) == 0
             on_pool = [t != threading.get_ident() for t in threads]
-            assert on_pool == ([False] if workers == 1 else [True] * 3)
+            assert on_pool == [True] * 3
             bodies.append((out / "result.json").read_bytes().replace(
                 f'"workers": {workers}'.encode(), b"").replace(str(out).encode(), b""))
         assert bodies[0] == bodies[1] == bodies[2]
@@ -819,6 +820,23 @@ class TestSeedEnvVar:
         ) == 0
         result = json.loads((out / "result.json").read_text())
         assert result["config"]["seed"] == 5
+
+    def test_given_seed_ignores_a_malformed_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SMOOTHCERT_SEED", "abc")
+        out = tmp_path / "run"
+        assert run_cli(
+            ["radius", "--closed-form", "cohen", "--p0", "0.9", "--seed", "5",
+             "--out", str(out)]
+        ) == 0
+        result = json.loads((out / "result.json").read_text())
+        assert result["config"]["seed"] == 5
+
+    def test_malformed_env_without_a_seed_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SMOOTHCERT_SEED", "abc")
+        assert run_cli(["radius", "--closed-form", "cohen", "--p0", "0.9",
+                        "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: SMOOTHCERT_SEED must be an integer, got 'abc'\n"
 
 
 def _sample_rows(tmp_path, seed):

@@ -58,26 +58,25 @@ class TestThinShell:
 
 class TestMeanVarianceCurve:
     def test_sigma_scale_family(self):
-        rows = {
-            c.parameter: c
-            for c in mean_variance_curve(100, sigma_values=(0.5, 1.0), k_values=(0.0,))
-            if c.curve == "sigma"
-        }
-        half, full = rows[0.5], rows[1.0]
-        assert abs(half.mean - 0.5 * full.mean) <= 1e-12
-        assert abs(half.variance - 0.25 * full.variance) <= 1e-12
+        # mean is proportional to sigma and variance to sigma^2 on every row
+        rows = [c for c in mean_variance_curve() if c.curve == "sigma"]
+        (full,) = [c for c in rows if c.parameter == 1.0]
+        assert len(rows) == 25
+        for row in rows:
+            assert abs(row.mean - row.parameter * full.mean) <= 1e-12
+            assert abs(row.variance - row.parameter**2 * full.variance) <= 1e-12
 
     def test_k_curve_monotone_mean(self):
-        rows = [c for c in mean_variance_curve(100) if c.curve == "k"]
+        rows = [c for c in mean_variance_curve() if c.curve == "k"]
         means = [c.mean for c in rows]
         assert all(b < a for a, b in zip(means, means[1:]))
 
     def test_frozen_base_mean(self):
-        rows = [c for c in mean_variance_curve(100) if c.curve == "k" and c.parameter == 0.0]
+        rows = [c for c in mean_variance_curve() if c.curve == "k" and c.parameter == 0.0]
         assert abs(rows[0].mean - 9.975031639550789) <= 1e-9
 
     def test_matched_ratio_favors_k(self):
-        k_star, ratio_k, ratio_sigma = matched_mean_variance_ratios(100, 0.5)
+        k_star, ratio_k, ratio_sigma = matched_mean_variance_ratios()
         assert ratio_sigma == 0.25
         assert ratio_k > ratio_sigma
         assert 0.0 < k_star < 99.0
@@ -136,7 +135,7 @@ class TestWorstDeltaGridCheck:
         fam, threat = SmoothingFamily.l1_power_tail(2, 0.5, 1.0), ThreatModel("l1", 0.8)
         grid = QuadratureGrid(n_radial=64, n_angular=96)
         lams = (0.0, 0.5, 2.0)
-        shifts = [worst_delta(threat, fam).vector, *_delta_grid(threat, 16, 3)[0]]
+        shifts = [worst_delta(threat, fam).vector, *_delta_grid(threat)[0]]
         table = _quadrature_polar_2d(fam, shifts, lams, grid)
         per_pair = [[discrepancy_quadrature(fam, dv, lam, grid) for lam in lams] for dv in shifts]
         assert table.tolist() == per_pair
@@ -211,6 +210,14 @@ class TestParetoSweep:
                     for q in points
                 )
         assert any(p.on_frontier for p in points)
+
+    def test_zero_workers_is_a_domain_error(self):
+        from smoothcert.errors import DomainError
+
+        with pytest.raises(DomainError, match="workers >= 1, got 0"):
+            pareto_sweep(BallIndicator("l2", np.zeros(3), 0.65), np.zeros(3),
+                         ThreatModel("linf", 0.4), [FamilyGrid("linf_pure", (0.5,), (0.5,))],
+                         3, 100, RandomStream(7), workers=0)
 
     def test_robustness_in_unit_interval(self):
         d = 3
