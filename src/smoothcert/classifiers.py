@@ -20,10 +20,11 @@ import math
 import os
 import selectors
 import subprocess
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betainc, gammainc
@@ -145,12 +146,14 @@ class ExternalClassifier:
     """Adapter speaking the EVAL protocol to a child process.
 
     ``start()`` spawns the child (``labels`` calls it too) and it is
-    kept alive across batches; one adapter drives one subprocess.
+    kept alive across batches; one adapter drives one subprocess, and
+    threads that share it take turns: one exchange runs at a time.
     Timeouts, malformed response lines, and child death all raise
     :class:`~smoothcert.errors.TransportError` so certification aborts
-    loudly instead of silently under-counting; the child is killed
-    first, and only a call after that (or after ``close()``) starts a
-    new one: a child found exited is never silently replaced.
+    loudly instead of silently under-counting. The first failure
+    latches: the child is killed, and every later ``start()`` or
+    ``labels`` raises naming it and spawns nothing until ``close()``,
+    so a failed child is never silently replaced.
 
     The batches of one call are exchanged on the calling thread by
     polling both pipes (``selectors``), so the adapter needs a POSIX
@@ -173,42 +176,53 @@ class ExternalClassifier:
         self.timeout_ms = timeout_ms
         self._declared_dim = dim
         self._proc: subprocess.Popen | None = None
+        self._failure: str | None = None  # the first failure since the last close()
+        self._lock = threading.Lock()
 
     @property
     def dim(self) -> int | None:
         return self._declared_dim
 
     def start(self) -> subprocess.Popen:
-        """Spawn the child unless one is held; idempotent.
+        """Spawn the child unless one is held; idempotent. A held child
+        that has exited is a ``TransportError`` naming its exit status."""
+        return self._exchange(lambda proc: proc)
 
-        A held child that has exited is closed and reported as a
-        :class:`~smoothcert.errors.TransportError` naming its exit
-        status, not replaced.
-        """
-        if self._proc is None:
+    def _exchange(self, work: Callable[[subprocess.Popen], object]):
+        """``work(child)`` under the lock, the child spawned first if none
+        is held. A failure is latched and the child killed."""
+        with self._lock:
+            if self._failure is not None:
+                raise TransportError(
+                    f"classifier worker is down after an earlier failure: {self._failure}")
             try:
-                self._proc = subprocess.Popen(
-                    self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
-                )
-            except OSError as exc:
-                raise TransportError(f"failed to spawn classifier worker: {exc}") from exc
-            assert self._proc.stdin is not None
-            os.set_blocking(self._proc.stdin.fileno(), False)
-            _widen_pipe(self._proc.stdin.fileno())
-        elif self._proc.poll() is not None:
-            status = self._proc.returncode
-            self.close()
-            raise TransportError(f"classifier worker exited with status {status}")
-        return self._proc
+                if self._proc is None:
+                    try:
+                        self._proc = subprocess.Popen(
+                            self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
+                        )
+                    except OSError as exc:
+                        raise TransportError(f"failed to spawn classifier worker: {exc}") from exc
+                    assert self._proc.stdin is not None
+                    os.set_blocking(self._proc.stdin.fileno(), False)
+                    _widen_pipe(self._proc.stdin.fileno())
+                elif self._proc.poll() is not None:
+                    raise TransportError(
+                        f"classifier worker exited with status {self._proc.returncode}")
+                return work(self._proc)
+            except BaseException as exc:
+                self._failure = str(exc) or type(exc).__name__
+                self._stop(kill=True)
+                raise
 
-    def close(self) -> None:
+    def _stop(self, kill: bool) -> None:
         if self._proc is not None:
             if self._proc.stdin:
                 try:
                     self._proc.stdin.close()
                 except OSError:
                     pass
-            self._proc.terminate()
+            (self._proc.kill if kill else self._proc.terminate)()
             try:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
@@ -217,6 +231,12 @@ class ExternalClassifier:
             if self._proc.stdout:
                 self._proc.stdout.close()
             self._proc = None
+
+    def close(self) -> None:
+        """Stop the child, if one is held, and clear a latched failure."""
+        with self._lock:
+            self._stop(kill=False)
+            self._failure = None
 
     def __enter__(self) -> "ExternalClassifier":
         return self
@@ -313,13 +333,7 @@ class ExternalClassifier:
         return out
 
     def labels(self, points: np.ndarray) -> np.ndarray:
-        proc = self.start()
-        try:
-            return self._parse_labels(self._transfer(proc, points))
-        except BaseException:
-            proc.kill()
-            self.close()
-            raise
+        return self._exchange(lambda proc: self._parse_labels(self._transfer(proc, points)))
 
 
 Classifier = Constant | BallIndicator | Halfspace | ExternalClassifier
@@ -354,11 +368,11 @@ def success_counts(
     shifted by itself (the last input shifts the block in place, so
     one input costs no copy), and its count sums the shards' counts in
     shard order, so it depends only on (family, n, rng) and equals the
-    count of a one-input call. An in-process classifier counts the
-    shards on a pool of ``min(workers, shards)`` threads; an
-    ``ExternalClassifier`` drives its one subprocess from the calling
-    thread, shard by shard and input by input, while one pool thread
-    draws the next shard (at most one ahead), at any ``workers``.
+    count of a one-input call. Every classifier counts the shards on a
+    pool of ``min(workers, shards)`` threads, each drawing its shard
+    and labelling it for every input. An ``ExternalClassifier`` labels
+    one exchange at a time, so with ``workers`` >= 2 one thread draws a
+    shard while another's is labelled.
     """
     if n < 1:
         raise DomainError(f"success_counts requires n >= 1, got {n}")
@@ -377,29 +391,15 @@ def success_counts(
         )
     *others, last = inputs
 
-    def count(block: np.ndarray) -> list[int]:
+    def count(i: int) -> list[int]:
+        (block,) = sample_chunks(family, n, rng, slice(i, i + 1))
         hits = [int(classifier.labels(block + x0).sum()) for x0 in others]
         block += last  # each block is a fresh array: the last input shifts it in place
         return hits + [int(classifier.labels(block).sum())]
 
-    def draw(i: int) -> np.ndarray:
-        (block,) = sample_chunks(family, n, rng, slice(i, i + 1))
-        return block
-
     total = shard_count(family, n)
-    if not isinstance(classifier, ExternalClassifier):
-        with ThreadPoolExecutor(max_workers=min(workers, total)) as pool:
-            per_shard = list(pool.map(lambda i: count(draw(i)), range(total)))
-    else:
-        # the one subprocess labels shard i on this thread while the pool draws shard i + 1
-        per_shard = []
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            ahead = pool.submit(draw, 0)
-            for i in range(total):
-                block = ahead.result()
-                if i + 1 < total:
-                    ahead = pool.submit(draw, i + 1)
-                per_shard.append(count(block))
+    with ThreadPoolExecutor(max_workers=min(workers, total)) as pool:
+        per_shard = list(pool.map(count, range(total)))
     return [BinomialEvidence(successes=sum(hits), trials=n) for hits in zip(*per_shard)]
 
 

@@ -77,6 +77,7 @@ MAX_BATCH = 10**6  # EVAL rows per request
 MAX_TIMEOUT_MS = 86_400_000  # one day
 MAX_QUADRATURE_NODES = 2048  # per axis of the verify polar grid (about 0.3 GB at 2048^2)
 MAX_INPUTS = 1000
+STAGE2_TAG = 1000  # certify's stage-2 stream is root.child(STAGE2_TAG), whatever MAX_INPUTS is
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +367,11 @@ def _closing(classifier: Classifier, work: Callable):
     interpreter and model start up while the parent draws stage 2 and
     the first stage-1 shard.
     """
-    external = isinstance(classifier, ExternalClassifier)
-    try:
-        if external:
-            classifier.start()
+    if not isinstance(classifier, ExternalClassifier):
         return work()
-    finally:
-        if external:
-            classifier.close()
+    with classifier:
+        classifier.start()
+        return work()
 
 
 def _certify(top: dict) -> Job:
@@ -388,8 +386,8 @@ def _certify(top: dict) -> Job:
 
     def all_inputs() -> list[Certificate]:
         # one draw of each stage serves every input: stage 2 on
-        # root.child(MAX_INPUTS), stage 1 on root.child(0)
-        stats = noise_statistics(family, counts["n2"], root.child(MAX_INPUTS))
+        # root.child(STAGE2_TAG), stage 1 on root.child(0)
+        stats = noise_statistics(family, counts["n2"], root.child(STAGE2_TAG))
         return certify(classifier, inputs, threat, counts["n1"], budget, root.child(0), stats,
                        input_ids=[f"input{idx}" for idx in range(len(inputs))],
                        workers=top["workers"])
@@ -504,10 +502,8 @@ def _pareto(top: dict) -> Job:
         _build("pareto.threat", worst_delta, threat, family)
 
     def job(out: Path, config: dict) -> Report:
-        # one EVAL adapter serves one thread at a time, as in stage 1
-        workers = 1 if isinstance(truth, ExternalClassifier) else top["workers"]
         points = _closing(truth, lambda: pareto_sweep(
-            truth, x0, threat, grids, dim, n, RandomStream(top["seed"]), workers=workers))
+            truth, x0, threat, grids, dim, n, RandomStream(top["seed"]), workers=top["workers"]))
         _write_records(out / "pareto.csv", config, ParetoPoint, points)
         body = {"points": [asdict(p) for p in points]}
         variants = {p.variant for p in points}

@@ -163,7 +163,8 @@ def pareto_sweep(
     them (``_sweep_point``): its points are positively correlated, each
     with the SE it would have alone. The groups run on a pool of
     ``workers`` threads, each on its own disjoint stream, so the result
-    is independent of worker scheduling.
+    is independent of worker scheduling; the threads take turns on an
+    ``ExternalClassifier`` truth, which runs one exchange at a time.
     """
     if workers < 1:
         raise DomainError(f"pareto_sweep requires workers >= 1, got {workers}")

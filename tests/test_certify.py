@@ -454,7 +454,9 @@ class TestCoverageAudit:
     tail from the smallest count whose bound does: an exact sum with no
     Monte Carlo error. On the DKW event a miss needs p0_lower > p0, so the
     sum is at most alpha_p0. Clopper-Pearson at 2 alpha_p0 fails every point
-    (0.28-0.32 at alpha_p0 = 0.19, 0.16 at 0.1).
+    (0.28-0.32 at alpha_p0 = 0.19, 0.16 at 0.1). The same holds for the
+    radius that ``certified_radius_search`` reports against the exact
+    gaussian/l2 radius.
     """
 
     N1, P0, ALPHA_MC = 1000, 0.9, 0.01
@@ -496,5 +498,36 @@ class TestCoverageAudit:
             lo, hi = (lo, mid) if exceeds(mid) else (mid, hi)
         miss = float(binom.sf(hi - 1, self.N1, self.P0))  # P(count >= hi)
         print(f"{variant} {threat.norm} alpha_p0 {alpha_p0}: conditional miss {miss:.4f}, "
+              f"margin {alpha_p0 - miss:.4f}")
+        assert miss <= alpha_p0
+
+    @pytest.mark.parametrize("p0, alpha_p0", [(0.9, 0.19), (0.9, 0.1), (0.75, 0.1), (0.99, 0.05)])
+    def test_reported_radius_misses_within_alpha_p0(self, monkeypatch, stage_two, p0, alpha_p0):
+        # the radius the search reports is monotone in the stage-1 count; it
+        # claims too much when it exceeds the exact gaussian/l2 radius
+        # sigma * ndtri(p0), so the conditional miss is again a Binomial tail
+        import sys
+
+        from scipy.special import ndtri
+        from scipy.stats import binom
+
+        stage_one = []
+        monkeypatch.setattr(sys.modules["smoothcert.certify"], "success_counts",
+                            lambda *args, **kwargs: stage_one)
+        budget = ConfidenceBudget(alpha_p0 + self.ALPHA_MC, alpha_p0, self.ALPHA_MC)
+        exact = float(ndtri(p0))  # sigma = 1
+
+        def exceeds(count: int) -> bool:
+            stage_one[:] = [BinomialEvidence(count, self.N1)]
+            radius, _ = certified_radius_search(Constant(1), np.zeros(4), "l2", 4.0, self.N1,
+                                                budget, RandomStream(0), stage_two["gaussian"])
+            return radius > exact
+
+        lo, hi = -1, self.N1 + 1  # no miss at lo; a miss at hi, past every count
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if exceeds(mid) else (mid, hi)
+        miss = float(binom.sf(hi - 1, self.N1, p0))  # P(count >= hi)
+        print(f"radius p0 {p0} alpha_p0 {alpha_p0}: conditional miss {miss:.4f}, "
               f"margin {alpha_p0 - miss:.4f}")
         assert miss <= alpha_p0

@@ -194,50 +194,57 @@ class TestSuccessCounts:
             assert success_counts(ext, inputs, fam, n, rng, workers=2) == ref
             assert success_counts(ext, inputs[:1], fam, n, rng, workers=2) == ref[:1]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_external_shards_are_drawn_one_ahead_on_the_pool(self, monkeypatch, workers):
-        # at any workers a pool thread draws shard i + 1 while the calling
-        # thread labels shard i for every input: every draw on the pool, once,
-        # every label on the caller in (shard, input) order, and no draw more
-        # than one shard ahead
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_external_shards_run_on_the_pool_one_exchange_at_a_time(self, monkeypatch, workers):
+        # the adapter counts on the same pool as an in-process classifier:
+        # every shard drawn once on a pool thread, the counts those of the
+        # ball, and the adapter's lock lets no two exchanges overlap, even
+        # though each is held open long enough for another thread to try
+        # (at 8 workers, more threads than cores switching every microsecond)
         import threading
+        import time
 
         from smoothcert import classifiers, families
 
-        monkeypatch.setattr(families, "_SHARD_ROWS", 1_500)
+        monkeypatch.setattr(families, "_SHARD_ROWS", 500)
         fam, n, rng = SmoothingFamily.l2_power_tail(4, 1.0, 1.0), 5_000, RandomStream(9)
+        shards = families.shard_count(fam, n)
         inputs = [np.array([0.4, 0.0, -0.2, 0.1]), np.array([1.2, 0.3, 0.0, -0.5])]
-        expected = [x0 + block for block in families.sample_chunks(fam, n, rng) for x0 in inputs]
-        assert len(expected) == 4 * len(inputs)
         ball = BallIndicator("l2", np.zeros(4), 1.6)
         ref = [success_counts(ball, [x0], fam, n, rng)[0] for x0 in inputs]
         caller, lock = threading.get_ident(), threading.Lock()
-        draws, labelled, labelled_before_draw = [], [], []
-        real_draw, real_labels = classifiers.sample_chunks, ExternalClassifier.labels
+        draws, exchanges = [], []
+        real_draw, real_transfer = classifiers.sample_chunks, ExternalClassifier._transfer
 
         def recording_draw(family, n, rng, shards=slice(None)):
             with lock:
                 draws.append((shards.start, threading.get_ident()))
-                labelled_before_draw.append(len(labelled))
             return real_draw(family, n, rng, shards)
 
-        def recording_labels(self, points):
-            assert threading.get_ident() == caller
-            out = real_labels(self, points)
+        def recording_transfer(self, proc, points):
             with lock:
-                labelled.append(points.copy())
+                exchanges.append("enter")
+            time.sleep(0.01)
+            out = real_transfer(self, proc, points)
+            with lock:
+                exchanges.append("exit")
             return out
 
         monkeypatch.setattr(classifiers, "sample_chunks", recording_draw)
-        monkeypatch.setattr(ExternalClassifier, "labels", recording_labels)
-        with ExternalClassifier(WORKER + ["ball-l2", "--radius", "1.6"], batch_size=512) as ext:
-            got = success_counts(ext, inputs, fam, n, rng, workers=workers)
+        monkeypatch.setattr(ExternalClassifier, "_transfer", recording_transfer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ExternalClassifier(WORKER + ["ball-l2", "--radius", "1.6"], batch_size=128,
+                                    timeout_ms=10_000) as ext:
+                got = success_counts(ext, inputs, fam, n, rng, workers=workers)
+        finally:
+            sys.setswitchinterval(interval)
         assert got == ref
-        assert [i for i, _ in draws] == [0, 1, 2, 3]
+        assert sorted(i for i, _ in draws) == list(range(shards)) and shards == 10
         assert all(thread != caller for _, thread in draws)
-        assert all(np.array_equal(a, b) for a, b in zip(labelled, expected, strict=True))
-        # shard i is drawn only once shards 0 .. i - 2 are labelled for every input
-        assert all(done >= (i - 1) * len(inputs) for i, done in enumerate(labelled_before_draw))
+        assert len({thread for _, thread in draws}) <= workers
+        assert exchanges == ["enter", "exit"] * shards * len(inputs)
 
 
 class TestExactSmoothedValue:
@@ -407,6 +414,28 @@ class TestExternalClassifier:
             ext.start().wait()
             with pytest.raises(TransportError, match="exited with status 3"):
                 ext.start()
+
+    def test_a_failure_latches_until_close(self, monkeypatch):
+        # after a failure every call raises naming it and spawns nothing;
+        # close() re-arms the adapter
+        spawned, real = [], subprocess.Popen
+
+        def counting(*args, **kwargs):
+            spawned.append(real(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", counting)
+        with ExternalClassifier([sys.executable, "-c", "raise SystemExit(4)"]) as ext:
+            ext.start().wait()
+            with pytest.raises(TransportError, match="exited with status 4"):
+                evaluate(ext, np.zeros((2, 2)))
+            for call in (ext.start, lambda: evaluate(ext, np.zeros((2, 2)))):
+                with pytest.raises(TransportError, match="earlier failure: .* status 4"):
+                    call()
+            assert len(spawned) == 1
+            ext.close()
+            ext.start().wait()
+            assert len(spawned) == 2
 
     def test_row_by_row_worker_with_large_batch(self, tmp_path):
         # a worker that answers each row as it reads it stops reading once

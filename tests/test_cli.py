@@ -359,7 +359,8 @@ class TestConfigFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     @given(case=_one_malformed_key())
     def test_one_malformed_key_exits_cleanly(self, tmp_path_factory, case):
-        # every exit is a documented code; 2 and 3 come with one stderr line
+        # every exit is a documented code, 1 (checks failed) from verify only;
+        # 2 and 3 come with one stderr line
         command, cfg = case
         workdir = tmp_path_factory.mktemp("fuzz")
         path = write_config(workdir, cfg)
@@ -371,7 +372,7 @@ class TestConfigFuzz:
                 code = main([command, "--config", path])
         finally:
             os.chdir(cwd)
-        assert code in (0, 1, 2, 3)
+        assert code in ((0, 1, 2, 3) if command == "verify" else (0, 2, 3))
         if code in (2, 3):
             assert err.getvalue().count("\n") == 1, err.getvalue()
 
@@ -395,8 +396,8 @@ class TestWorkerInvariance:
             "inputs": {"vectors": [[0.0] * 6, [0.3] + [0.0] * 5, [0.0, 0.5] + [0.0] * 4]},
         }
         if not command.startswith("pareto"):
-            # three stage-1 shards, pooled in process or, with the external
-            # worker, the next drawn while the worker labels
+            # three stage-1 shards on the pool, in process or with the external
+            # worker, whose adapter runs one exchange at a time
             from smoothcert import families
 
             monkeypatch.setattr(families, "_SHARD_ROWS", 700)
@@ -417,7 +418,7 @@ class TestWorkerInvariance:
                 ],
             }}
             if command == "pareto-external":
-                # one EVAL worker must not be driven from two pool threads at once
+                # the pool threads take turns on the one EVAL worker
                 cfg["pareto"]["truth"] = {"kind": "external", "batch_size": 64,
                                           "command": EVAL_WORKER + ["ball-l2", "--radius", "0.65"]}
         bodies = []
@@ -545,11 +546,10 @@ class TestCertifyCommand:
 
     def test_every_input_reads_the_shared_draw(self, tmp_path):
         # each certificate is dual_lower_bound at its own p0_lower on the one
-        # draw of stream root.child(MAX_INPUTS); stage 1 draws the shards of
+        # draw of stream root.child(1000); stage 1 draws the shards of
         # root.child(0).child(0) once and every input counts its hits on them,
         # so the p0_lower values are frozen here
         from smoothcert import RandomStream, SmoothingFamily, ThreatModel, dual_lower_bound
-        from smoothcert.cli import MAX_INPUTS
         from smoothcert.discrepancy import noise_statistics
 
         out = tmp_path / "run"
@@ -565,7 +565,7 @@ class TestCertifyCommand:
         assert [c["status"] for c in certs] == ["certified", "certified", "abstain"]
         threat = ThreatModel("l2", 0.5)
         shared = noise_statistics(SmoothingFamily.gaussian(4, 1.0), 20_000,
-                                  RandomStream(7).child(MAX_INPUTS))
+                                  RandomStream(7).child(1000))
         for cert in certs[:2]:
             dual = dual_lower_bound(cert["p0_lower"], threat, cert["budget"]["alpha_mc"], shared)
             assert [cert[k] for k in ("bound", "lambda_star", "d_mean", "epsilon", "std_error")] == [
@@ -733,6 +733,29 @@ class TestExternalWorkerLifetime:
         err = capfd.readouterr().err
         assert err.count("boom") == 1 and log.count("spawn") == 1
         assert "transport error" in err and "status 5" in err
+
+    @pytest.mark.parametrize("fault", ["exits", "hangs"])
+    def test_failed_pareto_truth_is_spawned_once_and_waited_for_once(self, tmp_path, events,
+                                                                     capsys, fault):
+        # two pool threads share the truth's adapter: the first failure
+        # latches, so the other group neither respawns the worker nor waits
+        # a second timeout
+        import time
+
+        log, procs = events
+        body = "sys.exit(5)" if fault == "exits" else "time.sleep(60)"
+        cfg = _external_job("pareto", tmp_path, [sys.executable, "-c", f"import sys, time; {body}"])
+        cfg["pareto"]["truth"]["timeout_ms"] = 1000
+        cfg["pareto"]["grids"] = [{"variant": "l2_power_tail", "k_values": [0.0, 1.0],
+                                   "scale_values": [0.3]}]
+        began = time.monotonic()
+        assert run_cli(["pareto", "--config", write_config(tmp_path, cfg)]) == 3
+        elapsed = time.monotonic() - began
+        assert log.count("spawn") == 1 and procs[0].returncode is not None
+        assert elapsed < 1.75, elapsed  # a second timeout would take it past 2 s
+        err = capsys.readouterr().err
+        assert err.startswith("transport error: ") and err.count("\n") == 1
+        assert ("status 5" if fault == "exits" else "timed out after 1000 ms") in err
 
 
 class TestSampleCommand:

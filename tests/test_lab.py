@@ -230,6 +230,23 @@ class TestParetoSweep:
             assert 0.0 <= p.accuracy <= 1.0
             assert 0.0 <= p.robustness <= 1.0
 
+    def test_external_truth_on_the_pool_matches_the_ball(self):
+        # two pool threads share one EVAL adapter: its exchanges take turns,
+        # so every point equals the in-process truth's
+        import sys
+
+        from smoothcert import ExternalClassifier, eval_worker
+
+        d, x0, threat = 5, np.zeros(5), ThreatModel("l2", 0.3)
+        grids = [FamilyGrid("l2_power_tail", (0.0, 1.0, 2.0, 3.0), (0.5, 1.0))]
+        ball = pareto_sweep(BallIndicator("l2", np.zeros(d), 0.65), x0, threat, grids, d,
+                            20_000, RandomStream(3), workers=2)
+        worker = [sys.executable, eval_worker.__file__, "ball-l2", "--radius", "0.65"]
+        with ExternalClassifier(worker) as ext:
+            external = pareto_sweep(ext, x0, threat, grids, d, 20_000, RandomStream(3), workers=2)
+        assert external == ball
+        assert len({p.accuracy for p in ball}) == len(ball) == 8
+
     @pytest.mark.parametrize("variant, norm", [
         ("gaussian", "l2"), ("l2_power_tail", "l2"), ("gaussian", "linf"),
         ("l2_power_tail", "linf"), ("laplacian", "l1"), ("l1_power_tail", "l1"),
