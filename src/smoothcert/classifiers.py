@@ -24,7 +24,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import betainc, gammainc
@@ -131,6 +131,11 @@ class Halfspace:
 # batch while the next ones are written instead of waking the adapter
 # every few kilobytes.
 _PIPE_BYTES = 1 << 20
+
+
+# 1 for the bytes ``bytes.strip()`` keeps: all but ASCII space, \t, \n, \r, \v and \f.
+_KEPT = np.ones(256, dtype=np.uint8)
+_KEPT[list(b" \t\n\r\x0b\x0c")] = 0
 
 
 def _widen_pipe(fd: int) -> None:
@@ -245,12 +250,16 @@ class ExternalClassifier:
         self.close()
 
     @staticmethod
-    def _request(block: np.ndarray) -> bytes:
+    def _request(block: np.ndarray) -> tuple[bytes, memoryview]:
+        """The header and the body of ``block``'s request. The body is a
+        view of the rows where they are already contiguous little-endian
+        float64, so a request copies nothing before the pipe."""
         n, d = block.shape
-        return b"EVAL64 %d %d\n" % (n, d) + np.ascontiguousarray(block, dtype="<f8").tobytes()
+        body = np.ascontiguousarray(block, dtype="<f8").reshape(-1).view(np.uint8)
+        return b"EVAL64 %d %d\n" % (n, d), memoryview(body)
 
-    def _transfer(self, proc: subprocess.Popen, points: np.ndarray) -> list[bytes]:
-        """Send ``points`` in batches and read one reply line per row.
+    def _transfer(self, proc: subprocess.Popen, points: np.ndarray) -> bytes:
+        """Send ``points`` in batches and return the reply, at least one line per row.
 
         Requests are encoded and written only as fast as the pipe
         takes them, and replies are read in between, all on this thread:
@@ -262,7 +271,7 @@ class ExternalClassifier:
         assert proc.stdin is not None and proc.stdout is not None
         stdin, stdout = proc.stdin.fileno(), proc.stdout.fileno()
         n, size = points.shape[0], self.batch_size
-        requests = (self._request(points[i : i + size]) for i in range(0, n, size))
+        requests = (part for i in range(0, n, size) for part in self._request(points[i : i + size]))
         pending = memoryview(b"")
         received: list[bytes] = []
         count = answered = 0
@@ -306,10 +315,7 @@ class ExternalClassifier:
                         if min(count, n) // size > answered:
                             answered = min(count, n) // size
                             deadline = time.monotonic() + self.timeout_ms / 1000.0
-        lines = b"".join(received).split(b"\n", n)
-        if lines.pop():
-            raise TransportError(f"classifier worker sent more than {n} response lines")
-        return lines
+        return b"".join(received)
 
     def _exited(self, proc: subprocess.Popen) -> str:
         """", exited with status N" once a child that closed a pipe has
@@ -320,20 +326,29 @@ class ExternalClassifier:
             return ""
 
     @staticmethod
-    def _parse_labels(lines: list[bytes]) -> np.ndarray:
-        out = np.empty(len(lines), dtype=np.int8)
-        for i, line in enumerate(lines):
-            token = line.strip()
-            if token == b"0":
-                out[i] = 0
-            elif token == b"1":
-                out[i] = 1
-            else:
-                raise TransportError(f"malformed response line {i}: {line!r}")
-        return out
+    def _parse_labels(reply: bytes, n: int) -> np.ndarray:
+        """The labels of the first n lines of ``reply``, which holds at
+        least n newlines. A line is valid iff it holds exactly one byte
+        that ``bytes.strip`` keeps, and that byte is "0" or "1"; the
+        first invalid line, or any byte after the n-th newline, raises."""
+        raw = np.frombuffer(reply, dtype=np.uint8)
+        ends = np.flatnonzero(raw == ord("\n"))[:n]
+        if raw.size > (ends[-1] + 1 if n else 0):
+            raise TransportError(f"classifier worker sent more than {n} response lines")
+        kept = _KEPT.take(raw)
+        # per line, the count and the sum of its kept bytes: the byte itself when there is one
+        count = np.diff(np.cumsum(kept)[ends], prepend=0)
+        value = np.diff(np.cumsum(raw * kept)[ends], prepend=0)
+        valid = (count == 1) & ((value == ord("0")) | (value == ord("1")))
+        if not valid.all():
+            i = int(np.argmin(valid))
+            line = reply[ends[i - 1] + 1 if i else 0 : ends[i]]
+            raise TransportError(f"malformed response line {i}: {line!r}")
+        return (value - ord("0")).astype(np.int8)
 
     def labels(self, points: np.ndarray) -> np.ndarray:
-        return self._exchange(lambda proc: self._parse_labels(self._transfer(proc, points)))
+        return self._exchange(
+            lambda proc: self._parse_labels(self._transfer(proc, points), points.shape[0]))
 
 
 Classifier = Constant | BallIndicator | Halfspace | ExternalClassifier
@@ -352,6 +367,21 @@ def evaluate(classifier: Classifier, points: np.ndarray) -> np.ndarray:
     return classifier.labels(points)
 
 
+# Rows per slice of a shard: 2**15 values (256 KiB) at d <= 128, small
+# enough to stay in cache, so the input-shifted copies reuse the same
+# few allocations instead of each faulting in a fresh shard-sized array.
+# The floor of 256 rows keeps an EVAL exchange at d = 3072 from
+# shrinking to 10 rows.
+_SLICE_VALUES = 1 << 15
+
+
+def row_slices(block: np.ndarray) -> Iterator[np.ndarray]:
+    """Consecutive row slices (views) of ``block``, each of
+    max(256, 2**15 // d) rows but the last."""
+    step = max(256, _SLICE_VALUES // block.shape[1])
+    return (block[i : i + step] for i in range(0, block.shape[0], step))
+
+
 def success_counts(
     classifier: Classifier,
     inputs: Sequence[np.ndarray],
@@ -365,10 +395,10 @@ def success_counts(
     Dimensions are validated before any sampling, so a mismatch
     consumes zero samples. The draws are the fixed shards of
     ``sample_chunks``, drawn once: each input labels every shard
-    shifted by itself (the last input shifts the block in place, so
-    one input costs no copy), and its count sums the shards' counts in
-    shard order, so it depends only on (family, n, rng) and equals the
-    count of a one-input call. Every classifier counts the shards on a
+    shifted by itself, one ``row_slices`` slice at a time, so a shift
+    allocates a slice, not a shard. Its count sums the slices' counts,
+    so it depends only on (family, n, rng) and equals the count of a
+    one-input call. Every classifier counts the shards on a
     pool of ``min(workers, shards)`` threads, each drawing its shard
     and labelling it for every input. An ``ExternalClassifier`` labels
     one exchange at a time, so with ``workers`` >= 2 one thread draws a
@@ -389,13 +419,14 @@ def success_counts(
         raise DomainError(
             f"dimension mismatch: classifier expects d={cdim}, family has d={family.dim}"
         )
-    *others, last = inputs
 
     def count(i: int) -> list[int]:
         (block,) = sample_chunks(family, n, rng, slice(i, i + 1))
-        hits = [int(classifier.labels(block + x0).sum()) for x0 in others]
-        block += last  # each block is a fresh array: the last input shifts it in place
-        return hits + [int(classifier.labels(block).sum())]
+        hits = [0] * len(inputs)
+        for part in row_slices(block):
+            for j, x0 in enumerate(inputs):
+                hits[j] += int(classifier.labels(part + x0).sum())
+        return hits
 
     total = shard_count(family, n)
     with ThreadPoolExecutor(max_workers=min(workers, total)) as pool:

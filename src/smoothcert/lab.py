@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classifiers import Classifier, evaluate
+from .classifiers import Classifier, evaluate, row_slices
 from .discrepancy import (
     DualBoundResult,
     QuadratureGrid,
@@ -104,9 +104,10 @@ def _sweep_point(
     unit draw is a draw at scale s, and pi_s(s z + s delta) / pi_s(s z)
     is the unit ratio at (z, delta). So one block of unit draws, reduced
     once to its shift statistics, serves each scale s, with the truth
-    evaluated at x0 + s z and the ratio at shift step / s. Robustness is
-    the discrepancy at lambda = 1 (the total-variation slice of the
-    trade-off) evaluated at the worst shift.
+    evaluated at x0 + s z, one ``row_slices`` slice of the block at a
+    time, and the ratio at shift step / s. Robustness is the discrepancy
+    at lambda = 1 (the total-variation slice of the trade-off) evaluated
+    at the worst shift.
     """
     wd = worst_delta(threat, family)
     sums = np.zeros((len(scales), 3))  # hits, sum and sum of squares of robustness terms
@@ -116,7 +117,10 @@ def _sweep_point(
             for row, s in zip(sums, scales):
                 vals = 1.0 - np.exp(log_ratio(stats, wd.step / s))
                 np.maximum(vals, 0.0, out=vals)
-                row += (evaluate(truth, x0 + s * block).sum(), vals.sum(), (vals * vals).sum())
+                row[1:] += (vals.sum(), (vals * vals).sum())
+            for part in row_slices(block):
+                for row, s in zip(sums, scales):
+                    row[0] += evaluate(truth, x0 + s * part).sum()
     out = []
     for acc, rob, rob_sq in sums / n:
         rob_var = max(0.0, rob_sq - rob * rob)

@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 import subprocess
 import sys
@@ -134,17 +135,57 @@ class TestSuccessCounts:
         b = success_counts(clf, [np.zeros(4)], fam, 20_000, RandomStream(5))
         assert a == b
 
-    def test_in_place_shift_matches_out_of_place_reference(self):
-        # blocks are shifted in place; x0 + block labels every row alike
-        from smoothcert import sample_chunks
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 200])
+    @pytest.mark.parametrize("kind", ["ball-l2", "ball-linf", "halfspace", "constant", "eval"])
+    def test_sliced_counts_match_the_whole_block_reference(self, monkeypatch, request, kind, d,
+                                                           workers):
+        # each shard is labelled in row slices: 300 rows at d = 1 and the
+        # 256-row floor at d = 200, so slices end inside the 1,000-row shards
+        # and n is a multiple of neither; every input's count is still the
+        # sum of its labels on the whole shifted blocks
+        from smoothcert import classifiers, families, sample_chunks
 
-        fam = SmoothingFamily.l2_power_tail(6, 2.0, 1.0)
-        x0 = np.array([0.7, -0.3, 0.2, 0.0, 1.1, -0.9])
-        clf = BallIndicator("l2", np.full(6, 0.5), 2.0)
-        n, rng = 30_001, RandomStream(6)
-        (got,) = success_counts(clf, [x0], fam, n, rng)
-        ref = sum(int(clf.labels(x0 + block).sum()) for block in sample_chunks(fam, n, rng))
-        assert got.successes == ref and 0 < ref < n
+        monkeypatch.setattr(families, "_SHARD_ROWS", 1_000)
+        monkeypatch.setattr(classifiers, "_SLICE_VALUES", 300)
+        fam, n, rng = SmoothingFamily.gaussian(d, 1.0), 2_501, RandomStream(6)
+        step = len(next(classifiers.row_slices(np.zeros((1_000, d)))))
+        assert step == (300 if d == 1 else 256) and n % step and n % 1_000
+        if kind == "eval":
+            clf = ExternalClassifier(WORKER + ["ball-l2", "--radius", str(math.sqrt(d))],
+                                     batch_size=100)
+            request.addfinalizer(clf.close)
+        else:
+            clf = {
+                "ball-l2": BallIndicator("l2", np.zeros(d), math.sqrt(d)),
+                "ball-linf": BallIndicator("linf", np.zeros(d), 1.0 if d == 1 else 2.8),
+                "halfspace": Halfspace(np.full(d, 1.0 / math.sqrt(d)), 0.2),
+                "constant": Constant(1),
+            }[kind]
+        inputs = [np.full(d, a / math.sqrt(d)) for a in (0.0, 0.4, -0.8)]
+        ref = [sum(int(clf.labels(x0 + block).sum()) for block in sample_chunks(fam, n, rng))
+               for x0 in inputs]
+        got = success_counts(clf, inputs, fam, n, rng, workers=workers)
+        assert [e.successes for e in got] == ref
+        assert all(0 < s < n for s in ref) or kind == "constant"
+
+    def test_stage_one_holds_one_shard_and_a_few_slices(self):
+        # at d = 16 a shard is 16,384 rows (2 MiB) and a slice 2,048 rows
+        # (256 KiB): four inputs shift and label slices, never a second
+        # shard-sized array
+        import tracemalloc
+
+        fam = SmoothingFamily.l2_power_tail(16, 4.0, 1.0)
+        clf = BallIndicator("l2", np.zeros(16), 5.0)
+        inputs = [np.full(16, 0.2 * i) for i in range(4)]
+        success_counts(clf, inputs, fam, 1_000, RandomStream(2))  # lazy set-up outside the trace
+        tracemalloc.start()
+        try:
+            success_counts(clf, inputs, fam, 100_000, RandomStream(2), workers=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 + 1) * 2**20
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_pooled_shards_match_the_serial_sum(self, monkeypatch, workers):
@@ -354,6 +395,68 @@ class TestExternalClassifier:
             with pytest.raises(TransportError, match="malformed"):
                 evaluate(ext, np.zeros((3, 2)))
 
+    def test_padded_response_lines_are_labels(self, tmp_path):
+        script = tmp_path / "padding_worker.py"
+        script.write_text(
+            "import sys\n"
+            "header = sys.stdin.buffer.readline().split()\n"
+            "n, d = int(header[1]), int(header[2])\n"
+            "for _ in range(n): sys.stdin.buffer.read(8 * d)\n"
+            "sys.stdout.buffer.write(b' 1\\r\\n\\t0  \\n' * (n // 2))\n"
+            "sys.stdout.flush()\n"
+        )
+        with ExternalClassifier([sys.executable, str(script)]) as ext:
+            assert evaluate(ext, np.zeros((4, 2))).tolist() == [1, 0, 1, 0]
+
+    @pytest.mark.parametrize("reply, labels", [
+        (b"", []),
+        (b"1\n0\n", [1, 0]),
+        (b" 1 \n\t0\r\n\x0b1\x0c\n\r\r0\n", [1, 0, 1, 0]),
+    ])
+    def test_reply_parse_accepts_padded_lines(self, reply, labels):
+        got = ExternalClassifier._parse_labels(reply, len(labels))
+        assert got.dtype == np.int8 and got.tolist() == labels
+
+    @pytest.mark.parametrize("reply, n, message", [
+        (b"1\n0 1\n1\n", 3, "malformed response line 1: b'0 1'"),
+        (b"1\n0\n\n2\n", 4, "malformed response line 2: b''"),
+        (b"0\n 2\n", 2, "malformed response line 1: b' 2'"),
+        (b"banana\n2\n", 2, "malformed response line 0: b'banana'"),
+        (b"1\n1\n1\n", 2, "more than 2 response lines"),
+        (b"1\n1\n ", 2, "more than 2 response lines"),
+    ])
+    def test_reply_parse_names_the_first_bad_line(self, reply, n, message):
+        with pytest.raises(TransportError, match=re.escape(message)):
+            ExternalClassifier._parse_labels(reply, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.lists(st.sampled_from(
+               [b"0", b"1", b" ", b"\t", b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x00", b"2", b"a"]),
+               max_size=3).map(b"".join), max_size=6),
+           tail=st.sampled_from([b"", b"\n", b"1", b" "]))
+    def test_reply_parse_matches_the_line_loop(self, lines, tail):
+        # the loop the vectorized parse replaced: bytes.strip per line
+        def loop(reply, n):
+            *rows, rest = reply.split(b"\n", n)
+            if rest:
+                raise TransportError(f"classifier worker sent more than {n} response lines")
+            out = []
+            for i, line in enumerate(rows):
+                if line.strip() not in (b"0", b"1"):
+                    raise TransportError(f"malformed response line {i}: {line!r}")
+                out.append(int(line.strip()))
+            return out
+
+        def outcome(parse, reply, n):
+            try:
+                return list(parse(reply, n))
+            except TransportError as exc:
+                return str(exc)
+
+        reply = b"".join(line + b"\n" for line in lines) + tail
+        assert outcome(ExternalClassifier._parse_labels, reply, len(lines)) == outcome(
+            loop, reply, len(lines))
+
     def test_extra_response_lines(self, tmp_path):
         script = tmp_path / "chatty_worker.py"
         script.write_text(
@@ -492,8 +595,8 @@ class TestExternalClassifier:
                             elements=_DOUBLES))
     def test_request_round_trips_every_double(self, block):
         n, d = block.shape
-        header, body = ExternalClassifier._request(block).split(b"\n", 1)
-        assert header + b"\n" == b"EVAL64 %d %d\n" % (n, d)
+        header, body = ExternalClassifier._request(block)
+        assert header == b"EVAL64 %d %d\n" % (n, d)
         assert len(body) == 8 * n * d
         parsed = np.frombuffer(body, "<f8").reshape(n, d)
         # bit patterns, so that -0.0 must come back as -0.0

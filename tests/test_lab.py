@@ -247,6 +247,25 @@ class TestParetoSweep:
         assert external == ball
         assert len({p.accuracy for p in ball}) == len(ball) == 8
 
+    def test_points_do_not_depend_on_the_label_slices(self, monkeypatch):
+        # the truth labels each block in row slices: 256-row slices (the
+        # floor) end inside the 1,000-row shards, and every point equals
+        # the one labelled a whole shard at a time
+        from smoothcert import classifiers, families
+
+        monkeypatch.setattr(families, "_SHARD_ROWS", 1_000)
+        d, x0, threat = 5, np.full(5, 0.05), ThreatModel("linf", 0.1)
+        truth = BallIndicator("l2", np.zeros(d), 0.65)
+        grids = [FamilyGrid("l2_power_tail", (0.0, 1.0), (0.3, 0.6)),
+                 FamilyGrid("mixed_norm", (1.0,), (0.3, 0.6))]
+        monkeypatch.setattr(classifiers, "_SLICE_VALUES", 1)
+        assert len(next(classifiers.row_slices(np.zeros((1_000, d))))) == 256
+        tiny = pareto_sweep(truth, x0, threat, grids, d, 4_501, RandomStream(4), workers=2)
+        monkeypatch.setattr(classifiers, "_SLICE_VALUES", 1_000 * d)
+        whole = pareto_sweep(truth, x0, threat, grids, d, 4_501, RandomStream(4), workers=2)
+        assert tiny == whole
+        assert len({p.accuracy for p in whole}) == len(whole) == 6
+
     @pytest.mark.parametrize("variant, norm", [
         ("gaussian", "l2"), ("l2_power_tail", "l2"), ("gaussian", "linf"),
         ("l2_power_tail", "linf"), ("laplacian", "l1"), ("l1_power_tail", "l1"),
